@@ -52,7 +52,6 @@ def solve_co_online(
     on_failure: str = "raise",
     incremental: Optional[object] = None,
     job_keys: Optional[Sequence] = None,
-    shards: Optional[int] = None,
 ) -> CoScheduleSolution:
     """Solve one epoch of the Figure 4 model.
 
@@ -75,13 +74,6 @@ def solve_co_online(
     from the previous epoch's optimal basis.  ``job_keys`` supplies the
     stable per-job identities (length ``inp.num_jobs``) the warm-start
     labels are keyed on; without them the solve is cache-assisted but cold.
-
-    ``shards`` (default: the ``REPRO_SHARDS`` environment variable, else
-    off) routes the solve through :func:`repro.lp.sharded.solve_sharded`:
-    the epoch model is decomposed into per-job-block shards solved
-    concurrently and reconciled to the monolithic optimum within ``1e-7``
-    relative — with a transparent monolithic fallback whenever the model
-    does not decompose (e.g. under fairness rows).
     """
     if on_failure not in ("raise", "greedy"):
         raise ValueError(f"on_failure must be 'raise' or 'greedy', got {on_failure!r}")
@@ -115,18 +107,8 @@ def solve_co_online(
         from repro.lint import strict_check
 
         strict_check(assembler, asm, "co-online")
-    from repro.lp.sharded import resolve_shards, solve_sharded
-
-    n_shards = resolve_shards(shards)
     try:
-        if n_shards >= 1:
-            result = solve_sharded(
-                asm,
-                backend=backend,
-                shards=n_shards,
-                warm=incremental.warm if warm_capable else None,
-            )
-        elif warm_capable:
+        if warm_capable:
             result = backend.solve_assembled(asm, warm=incremental.warm)
         else:
             result = backend.solve_assembled(asm)

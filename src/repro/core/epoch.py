@@ -165,7 +165,6 @@ class EpochController:
         strict: bool = False,
         degraded_mode: bool = True,
         incremental: bool = False,
-        shards: Optional[int] = None,
     ) -> None:
         if epoch_length <= 0:
             raise ValueError("epoch_length must be positive")
@@ -189,9 +188,6 @@ class EpochController:
         #: from the previous epoch's basis (see repro.perf); off by default —
         #: warm solves may pick a different optimal vertex under degeneracy
         self.incremental = incremental
-        #: decompose each epoch LP into block shards solved concurrently
-        #: (see repro.lp.sharded); None defers to the REPRO_SHARDS env var
-        self.shards = shards
         #: the IncrementalContext of the most recent run (None when off)
         self.incremental_context = None
         #: optional live reconciliation: a :class:`repro.obs.ledger.
@@ -433,7 +429,6 @@ class EpochController:
                     on_failure="greedy" if self.degraded_mode else "raise",
                     incremental=self.incremental_context,
                     job_keys=original_ids,
-                    shards=self.shards,
                 )
         if tracer.enabled:
             for rec in prof.records:

@@ -3,8 +3,8 @@
 The paper solves its scheduling LPs with GLPK's simplex; this module is an
 independent, dependency-free (NumPy/SciPy only) reference implementation used
 to cross-validate the HiGHS backend in the test suite, in the LP-backend
-ablation benchmark, and as the engine behind the sharded epoch-LP
-decomposition (:mod:`repro.lp.sharded`).
+ablation benchmark, and as the fallback behind
+:class:`~repro.resilience.solver.ResilientSolver`.
 
 Implementation notes
 --------------------
@@ -44,12 +44,7 @@ from scipy import sparse
 
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.sparse_core import (
-    DENSE_ENGINE_MAX_ROWS,
-    BasisSingularError,
-    dense_column,
-    make_engine,
-)
+from repro.lp.sparse_core import BasisSingularError, dense_column, make_engine
 from repro.lp.standard_form import StandardFormLP, to_standard_form
 from repro.lp.warmstart import WarmStartContext
 from repro.obs import lpprof
@@ -101,10 +96,10 @@ class SimplexBackend:
         Refactorise the basis after this many eta updates (0 disables).
         Eta files accumulate rounding and length; periodic refactorisation
         keeps long solves and warm-started chains well conditioned.
-    dense_engine_max_rows:
-        Bases with at most this many rows use the explicit dense inverse
-        engine; larger bases use the sparse LU + eta-file engine (see
-        :mod:`repro.lp.sparse_core`).  ``0`` forces sparse everywhere.
+
+    The basis engine is chosen by row count: bases with at most
+    :data:`~repro.lp.sparse_core.DENSE_ENGINE_MAX_ROWS` rows use the
+    explicit dense inverse, larger ones the sparse LU + eta-file engine.
     """
 
     name = "simplex"
@@ -118,7 +113,6 @@ class SimplexBackend:
         bland_after: int = 50,
         presolve: bool = False,
         refactor_every: int = 256,
-        dense_engine_max_rows: int = DENSE_ENGINE_MAX_ROWS,
     ) -> None:
         self.max_iterations = max_iterations
         self.tol = tol
@@ -127,7 +121,6 @@ class SimplexBackend:
         #: reported (row identities change under row elimination)
         self.presolve = presolve
         self.refactor_every = refactor_every
-        self.dense_engine_max_rows = dense_engine_max_rows
         #: (fixed_vars, dropped_rows) of the most recent presolve, for the
         #: profiling wrapper
         self._last_presolve = None
@@ -193,7 +186,6 @@ class SimplexBackend:
                 bland_after=self.bland_after,
                 presolve=False,
                 refactor_every=self.refactor_every,
-                dense_engine_max_rows=self.dense_engine_max_rows,
             )._solve_assembled(pre.reduced)
             if inner.x is not None:
                 inner.x = pre.restore(inner.x)
@@ -281,7 +273,7 @@ class SimplexBackend:
         self, a: sparse.csc_matrix, b: np.ndarray, basis: np.ndarray
     ) -> _Tableau:
         """Factorise ``basis`` and seed the incremental basic values."""
-        engine = make_engine(a, basis, self.dense_engine_max_rows)
+        engine = make_engine(a, basis)
         return _Tableau(a=a, b=b, basis=basis, engine=engine, xb_val=engine.ftran(b))
 
     # -- warm start -------------------------------------------------------------

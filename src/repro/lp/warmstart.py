@@ -19,7 +19,7 @@ recent cold solve of the same stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,18 +40,6 @@ class WarmStartContext:
     #: warm attempts that had to fall back to a cold solve
     fallbacks: int = 0
     pivots_saved: int = 0
-    #: per-shard optimal bases keyed on block identity (see repro.lp.blocks);
-    #: lets a shard warm-start from its own previous epoch even as global
-    #: column positions shift with workload churn
-    shard_basis: Dict[tuple, BasisSnapshot] = field(default_factory=dict)
-    #: epoch solves that went through the sharded decomposition
-    sharded_solves: int = 0
-    #: sharded attempts that fell back to the monolithic solve
-    sharded_fallbacks: int = 0
-    #: individual shard sub-solves (both rounds)
-    shard_solves: int = 0
-    #: shard sub-solves re-run in the allocation round
-    shard_resolves: int = 0
 
     def record_solve(
         self,
@@ -97,8 +85,4 @@ class WarmStartContext:
             "pivots_saved": self.pivots_saved,
             "std_cache_hits": self.std_cache.hits,
             "std_cache_misses": self.std_cache.misses,
-            "sharded_solves": self.sharded_solves,
-            "sharded_fallbacks": self.sharded_fallbacks,
-            "shard_solves": self.shard_solves,
-            "shard_resolves": self.shard_resolves,
         }

@@ -96,11 +96,6 @@ _collectors: List[Collector] = []
 #: backend emits inside the scope (epoch index, scheduler name, ...).
 _scopes: List[dict] = []
 
-#: Per-thread suppression depth (see :func:`suppress`).  Thread-local so a
-#: suppressed sharded solve on one thread cannot hide records emitted by a
-#: concurrent resilient-solver worker thread.
-_suppress = threading.local()
-
 
 def current_scope() -> dict:
     """The merged attributes of every active solve scope (innermost wins)."""
@@ -134,32 +129,9 @@ def scope(**attrs) -> Iterator[dict]:
 
 
 def active() -> bool:
-    """True when at least one collector wants solve records.
-
-    Always False inside a :func:`suppress` extent on the calling thread.
-    """
-    if getattr(_suppress, "depth", 0):
-        return False
+    """True when at least one collector wants solve records."""
     with _lock:
         return bool(_collectors)
-
-
-@contextlib.contextmanager
-def suppress() -> Iterator[None]:
-    """Hide this thread's solves from the installed collectors.
-
-    The sharded LP solver (:mod:`repro.lp.sharded`) wraps its per-shard
-    sub-solves in this and emits one *aggregate* record for the whole
-    decomposition instead: pool workers run in processes where no collector
-    exists, so suppressing the serial in-process path is what keeps traces
-    byte-identical between ``shards`` run serially and over the pool.
-    """
-    prev = getattr(_suppress, "depth", 0)
-    _suppress.depth = prev + 1
-    try:
-        yield
-    finally:
-        _suppress.depth = prev
 
 
 def observe(record: LPSolveRecord) -> None:

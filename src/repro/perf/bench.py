@@ -9,23 +9,18 @@ testbed shape: paper machines, two long jobs sized to span several epochs):
   :class:`~repro.perf.IncrementalContext`: assembly-plan reuse, cached
   standard-form conversion and warm-started simplex;
 * **HiGHS** — the production backend plain vs ``presolve=True`` with the
-  pattern cache (reported, not gated: HiGHS is already fast here);
+  pattern cache (timings reported, not gated: HiGHS is already fast here;
+  the two loops' per-epoch objectives must agree within ``REL_TOL``);
 * **sweep throughput** — a small figure-5 grid run serially and through
   the process-pool path (reported, not gated: single-core CI boxes show
   no speedup by construction);
-* **sharded decomposition** (``--shards``) — the incremental non-sharded
-  epoch loop vs the same loop routed through
-  :func:`repro.lp.sharded.solve_sharded` on a 100-machine, 8-job profile
-  whose epoch LPs decompose into per-job blocks.  Gated: the sharded loop
-  must be at least ``SHARDED_MIN_SPEEDUP``x faster and every captured
-  epoch model must re-solve sharded to the monolithic objective within
-  ``REL_TOL``;
 * **scaling sweep** (``--scaling``) — epoch solve time and simulator
   event throughput at 20/100/500/1000 machines, appended as one
   ``repro.bench-history/1`` row per size (reported, not gated).
 
 The regression gate requires the incremental loop to be no slower than the
-cold loop and every per-epoch objective to agree within ``REL_TOL``.
+cold loop and every per-epoch objective to agree within ``REL_TOL``, on
+the simplex and on HiGHS alike.
 Results are written as JSON (schema ``repro.bench/1``, documented in the
 README's Benchmarks section) and mirrored into ``bench.*`` gauges when a
 metrics registry is active.
@@ -35,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Optional, Sequence, Tuple
@@ -48,7 +42,7 @@ from repro.core.epoch import EpochController
 from repro.obs.registry import current_registry
 from repro.workload.job import DataObject, Job, Workload
 
-#: warm and cold epoch objectives must agree to this relative tolerance
+#: paired epoch loops' objectives must agree to this relative tolerance
 REL_TOL = 1e-7
 
 #: JSON schema identifier written into every benchmark file
@@ -56,10 +50,6 @@ SCHEMA = "repro.bench/1"
 
 #: JSONL schema identifier for the append-only history file
 HISTORY_SCHEMA = "repro.bench-history/1"
-
-#: the sharded epoch loop must beat the incremental non-sharded loop by
-#: this factor on the 100-machine profile (the ``--shards`` gate)
-SHARDED_MIN_SPEEDUP = 2.0
 
 #: machine counts of the ``--scaling`` sweep
 SCALING_MACHINES = (20, 100, 500, 1000)
@@ -90,7 +80,6 @@ def history_row(doc: dict) -> dict:
         "highs_presolve_wall_s": doc["highs"]["presolve_wall_s"],
         "sweep_serial_points_per_s": doc["sweep"]["serial_points_per_s"],
         "sweep_parallel_points_per_s": doc["sweep"]["parallel_points_per_s"],
-        "sharded_speedup": (doc.get("sharded") or {}).get("speedup"),
         "gate_ok": doc["gate"]["ok"],
     }
 
@@ -168,10 +157,8 @@ def _block_testbed(machines: int, n_stores: int, seed: int = 0):
     ``build_paper_testbed`` co-locates a store with *every* machine, which
     makes the online model's transfer-variable count grow with
     ``machines**2`` — fine at testbed sizes, needlessly huge for the
-    sharded and scaling profiles.  Concentrating the stores keeps the
-    model at ``O(stores * machines)`` while preserving the block
-    structure the decomposition exploits (one block per job when each job
-    reads its own data object).
+    scaling profile.  Concentrating the stores keeps the model at
+    ``O(stores * machines)``.
     """
     rng = np.random.default_rng(seed)
     builder = ClusterBuilder(topology=paper_topology())
@@ -198,12 +185,11 @@ def _block_testbed(machines: int, n_stores: int, seed: int = 0):
 def build_block_scenario(
     machines: int, n_jobs: int = 8, epochs_target: int = 3, util: float = 0.9
 ) -> Tuple[object, Workload, float, dict]:
-    """A block-decomposable epoch scenario at ``machines`` nodes.
+    """A block-structured epoch scenario at ``machines`` nodes.
 
-    ``n_jobs`` jobs each read their own data object, so the epoch LP
-    splits into one block per job coupled only through machine capacity —
-    the shape :func:`repro.lp.sharded.solve_sharded` decomposes.  Total
-    work is ``util`` of cluster capacity over ``epochs_target`` epochs.
+    ``n_jobs`` jobs each read their own data object, so the epoch LP has
+    one block per job coupled only through machine capacity.  Total work
+    is ``util`` of cluster capacity over ``epochs_target`` epochs.
     """
     epoch_length = 60.0
     cluster = _block_testbed(machines, n_stores=n_jobs)
@@ -240,7 +226,7 @@ def build_block_scenario(
     return cluster, Workload(jobs=jobs, data=data), epoch_length, meta
 
 
-def _timed_epoch_loop(cluster, workload, epoch_length, backend, incremental, shards=0):
+def _timed_epoch_loop(cluster, workload, epoch_length, backend, incremental):
     """Run the epoch loop once; returns (wall_s, objectives, controller)."""
     controller = EpochController(
         cluster,
@@ -248,7 +234,6 @@ def _timed_epoch_loop(cluster, workload, epoch_length, backend, incremental, sha
         backend=backend,
         keep_solutions=True,
         incremental=incremental,
-        shards=shards,
     )
     t0 = time.perf_counter()
     result = controller.run(workload)
@@ -295,7 +280,11 @@ def _bench_simplex(cluster, workload, epoch_length) -> dict:
 
 
 def _bench_highs(cluster, workload, epoch_length) -> dict:
-    """Plain vs presolve+pattern-cache epoch loops on HiGHS (reported only)."""
+    """Plain vs presolve+pattern-cache epoch loops on HiGHS.
+
+    Timings are reported only; the objective agreement between the two
+    loops is gated (``highs_objectives_match``).
+    """
     from repro.lp.scipy_backend import HighsBackend
 
     plain_wall, plain_obj, _ = _timed_epoch_loop(
@@ -341,85 +330,6 @@ def _bench_sweep(quick: bool, workers: Optional[int]) -> dict:
         "serial_points_per_s": points / serial_wall if serial_wall > 0 else 0.0,
         "parallel_points_per_s": points / parallel_wall if parallel_wall > 0 else 0.0,
         "results_identical": match,
-    }
-
-
-def resolve_bench_shards(shards: int) -> int:
-    """The shard count the ``--shards`` section runs with (0 = auto).
-
-    Auto picks ``min(8, cpu count)`` — a process pool when cores are
-    available, the in-process sharded path on single-core boxes where a
-    pool is pure overhead.
-    """
-    if shards >= 1:
-        return shards
-    return min(8, os.cpu_count() or 1)
-
-
-def _bench_sharded(quick: bool, shards: int) -> dict:
-    """Incremental non-sharded vs sharded epoch loops at 100 machines.
-
-    Wall-clock speedup comes from two full controller runs.  Objective
-    equivalence is then checked per *model*, not per trajectory: the
-    non-sharded run's epoch LPs are captured and each is re-solved through
-    :func:`~repro.lp.sharded.solve_sharded`, so alternative optima feeding
-    back into later epochs cannot masquerade as solver disagreement.
-    """
-    from repro.lp.sharded import solve_sharded
-    from repro.lp.simplex import SimplexBackend
-    from repro.lp.warmstart import WarmStartContext
-
-    n = resolve_bench_shards(shards)
-    cluster, workload, epoch_length, meta = build_block_scenario(
-        machines=100, n_jobs=8, epochs_target=3 if quick else 5
-    )
-
-    captured = []
-
-    class _CapturingSimplex(SimplexBackend):
-        def solve_assembled(self, asm, warm=None):  # lint: ok=AST005 (delegates)
-            if getattr(asm, "name", "") == "co-online":
-                captured.append(asm)
-            return super().solve_assembled(asm, warm=warm)
-
-    plain_wall, plain_obj, _ = _timed_epoch_loop(
-        cluster, workload, epoch_length, _CapturingSimplex(), incremental=True
-    )
-    sharded_wall, sharded_obj, controller = _timed_epoch_loop(
-        cluster, workload, epoch_length, SimplexBackend(), incremental=True, shards=n
-    )
-    loop_stats = controller.incremental_context.warm.stats()
-
-    # per-model equivalence over the captured epoch LPs
-    warm = WarmStartContext()
-    resolved = [
-        solve_sharded(asm, backend=SimplexBackend(), shards=n, warm=warm).objective
-        for asm in captured
-    ]
-    delta = _rel_delta(plain_obj, resolved)
-    speedup = plain_wall / sharded_wall if sharded_wall > 0 else float("inf")
-    return {
-        "scenario": meta,
-        "shards": n,
-        "non_sharded": {"wall_s": plain_wall, "epochs": len(plain_obj)},
-        "sharded": {
-            "wall_s": sharded_wall,
-            "epochs": len(sharded_obj),
-            "stats": {
-                k: v
-                for k, v in loop_stats.items()
-                if k.startswith(("shard", "sharded"))
-            },
-        },
-        "speedup": speedup,
-        "min_speedup": SHARDED_MIN_SPEEDUP,
-        "equivalence": {
-            "max_rel_objective_delta": delta,
-            "tolerance": REL_TOL,
-            "ok": bool(delta <= REL_TOL),
-            "models_decomposed": warm.sharded_solves,
-            "models_fallback": warm.sharded_fallbacks,
-        },
     }
 
 
@@ -469,34 +379,25 @@ def _bench_scaling(sizes: Sequence[int] = SCALING_MACHINES) -> list:
 def run_bench(
     quick: bool = False,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
     scaling: bool = False,
 ) -> dict:
     """Run the full benchmark; returns the ``repro.bench/1`` document.
 
-    ``shards`` (None = skip) adds the gated sharded-decomposition section
-    with that worker count (0 = auto); ``scaling`` adds the ungated
-    multi-size sweep.
+    ``scaling`` adds the ungated multi-size sweep.
     """
     cluster, workload, epoch_length, meta = build_scenario(quick)
     simplex = _bench_simplex(cluster, workload, epoch_length)
     highs = _bench_highs(cluster, workload, epoch_length)
     sweep = _bench_sweep(quick, workers)
-    sharded = _bench_sharded(quick, shards) if shards is not None else None
     scaling_rows = _bench_scaling() if scaling else None
     gate_checks = {
         "incremental_not_slower": bool(simplex["speedup"] >= 1.0),
         "objectives_match": simplex["equivalence"]["ok"],
+        "highs_objectives_match": bool(
+            highs["max_rel_objective_delta"] <= REL_TOL
+        ),
         "sweep_results_identical": sweep["results_identical"],
     }
-    if sharded is not None:
-        gate_checks["sharded_speedup"] = bool(
-            sharded["speedup"] >= SHARDED_MIN_SPEEDUP
-        )
-        gate_checks["sharded_objectives_match"] = sharded["equivalence"]["ok"]
-        gate_checks["sharded_exercised"] = bool(
-            sharded["equivalence"]["models_decomposed"] > 0
-        )
     doc = {
         "schema": SCHEMA,
         "quick": quick,
@@ -504,7 +405,6 @@ def run_bench(
         **simplex,
         "highs": highs,
         "sweep": sweep,
-        "sharded": sharded,
         "scaling": scaling_rows,
         "gate": {"ok": all(gate_checks.values()), "checks": gate_checks},
     }
@@ -519,10 +419,6 @@ def run_bench(
         registry.gauge("bench.speedup", help="cold/incremental wall ratio").set(
             simplex["speedup"]
         )
-        if sharded is not None:
-            registry.gauge(
-                "bench.sharded_speedup", help="non-sharded/sharded wall ratio"
-            ).set(sharded["speedup"])
     return doc
 
 
@@ -553,18 +449,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="process-pool size for the sweep-throughput section "
         "(default: REPRO_WORKERS, else 2)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        nargs="?",
-        const=0,
-        default=None,
-        metavar="N",
-        help="run the sharded-decomposition section on the 100-machine "
-        "profile and gate a >=2x speedup over the incremental non-sharded "
-        "loop (N = shard worker processes; bare --shards auto-picks "
-        "min(8, cpu count))",
     )
     parser.add_argument(
         "--scaling",
@@ -625,7 +509,6 @@ def main(argv: Sequence[str]) -> int:
         doc = run_bench(
             quick=args.quick,
             workers=args.workers,
-            shards=args.shards,
             scaling=args.scaling,
         )
         if registry is not None:
@@ -649,7 +532,8 @@ def main(argv: Sequence[str]) -> int:
     print(
         f"highs: plain {doc['highs']['cold_wall_s']:.2f}s, "
         f"presolve+cache {doc['highs']['presolve_wall_s']:.2f}s "
-        f"({doc['highs']['presolve_cache_hits']} cache hits)"
+        f"({doc['highs']['presolve_cache_hits']} cache hits), "
+        f"max rel obj delta {doc['highs']['max_rel_objective_delta']:.2e}"
     )
     print(
         f"sweep: {doc['sweep']['points']} points, "
@@ -657,18 +541,6 @@ def main(argv: Sequence[str]) -> int:
         f"parallel[{doc['sweep']['workers']}] "
         f"{doc['sweep']['parallel_wall_s']:.2f}s"
     )
-    if doc.get("sharded"):
-        sh = doc["sharded"]
-        sheq = sh["equivalence"]
-        print(
-            f"sharded[{sh['shards']}]: non-sharded "
-            f"{sh['non_sharded']['wall_s']:.2f}s, sharded "
-            f"{sh['sharded']['wall_s']:.2f}s ({sh['speedup']:.2f}x, "
-            f"gate >={sh['min_speedup']:.1f}x), "
-            f"{sheq['models_decomposed']} models decomposed "
-            f"({sheq['models_fallback']} fallback), "
-            f"max rel obj delta {sheq['max_rel_objective_delta']:.2e}"
-        )
     for row in doc.get("scaling") or ():
         print(
             f"scaling[{row['machines']:>4} machines]: "

@@ -119,13 +119,6 @@ class LipsScheduler(TaskScheduler):
         simplex warm starts keyed on stable (job, zone) sub-job identities
         on backends that support them.  Off by default — warm solves may
         pick a different optimal vertex under degeneracy.
-    shards:
-        Decompose each epoch LP into per-job-block shards solved
-        concurrently over a process pool (see :mod:`repro.lp.sharded`);
-        objective-equivalent to the monolithic solve within ``1e-7``
-        relative, with a transparent fallback when the model does not
-        decompose.  ``None`` defers to the ``REPRO_SHARDS`` environment
-        variable; ``0`` (the resolved default) is monolithic.
     """
 
     def __init__(
@@ -136,7 +129,6 @@ class LipsScheduler(TaskScheduler):
         strict: bool = False,
         degraded_mode: bool = True,
         incremental: bool = False,
-        shards: Optional[int] = None,
     ) -> None:
         super().__init__()
         if epoch_length <= 0:
@@ -146,7 +138,6 @@ class LipsScheduler(TaskScheduler):
         self.enforce_bandwidth = enforce_bandwidth
         self.strict = strict
         self.degraded_mode = degraded_mode
-        self.shards = shards
         if incremental:
             from repro.perf import IncrementalContext
 
@@ -207,7 +198,6 @@ class LipsScheduler(TaskScheduler):
             on_failure="greedy" if self.degraded_mode else "raise",
             incremental=self.incremental_context,
             job_keys=job_keys,
-            shards=self.shards,
         )
         if sol.model == DEGRADED_MODEL:
             self.degraded_epochs += 1

@@ -83,8 +83,6 @@ class ServeSoakConfig:
     epoch_deadline_s: float = 0.75
     #: per-record fsync of the WAL (off: flush-only, fine for sim soaks)
     wal_fsync: bool = False
-    #: shard each epoch LP (repro.lp.sharded); 0 = monolithic
-    shards: int = 0
 
     @property
     def horizon_s(self) -> float:
@@ -101,7 +99,6 @@ class ServeSoakConfig:
             checkpoint_every=self.checkpoint_every,
             health=HealthConfig(epoch_deadline_s=self.epoch_deadline_s),
             wal_fsync=self.wal_fsync,
-            shards=self.shards,
             # abort loudly if the queue ever stops draining, instead of
             # grinding through the global 1e6-epoch default
             max_epochs=int(self.horizon_s / self.epoch_length) * 50,

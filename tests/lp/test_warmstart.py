@@ -58,13 +58,11 @@ def _input_for(cluster, job_ids):
     return SchedulingInput.from_parts(cluster, Workload(jobs=jobs, data=data))
 
 
-def _assert_stream_matches_cold(epoch_subsets, epoch_length=200.0, shards=None):
-    """Solve the subset stream warm (optionally sharded) and cold.
+def _assert_stream_matches_cold(epoch_subsets, epoch_length=200.0):
+    """Solve the subset stream warm and cold.
 
-    Every epoch's warm objective must match a from-scratch monolithic
-    solve within ``REL_TOL`` — with ``shards`` this additionally exercises
-    per-shard basis repair across shard-boundary churn (jobs joining and
-    leaving change which blocks exist from one epoch to the next).
+    Every epoch's warm objective must match a from-scratch solve within
+    ``REL_TOL``.
     """
     cluster = _cluster()
     config = OnlineModelConfig(epoch_length=epoch_length)
@@ -78,7 +76,6 @@ def _assert_stream_matches_cold(epoch_subsets, epoch_length=200.0, shards=None):
             backend=warm_backend,
             incremental=ctx,
             job_keys=list(job_ids),
-            shards=shards,
         )
         cold = solve_co_online(inp, config, backend=SimplexBackend())
         scale = max(1.0, abs(cold.objective))
@@ -110,34 +107,13 @@ class TestWarmEqualsCold:
             [(0, 1, 2), (1, 2, 3), (1, 2, 3, 4), (0, 4), (0, 4), (0, 1, 2)]
         )
 
+    def test_departure_then_return(self):
+        # departed jobs' columns are dropped from the basis, then come back
+        _assert_stream_matches_cold([(0, 1, 2, 3), (1, 3), (1, 3), (0, 1, 2, 3)])
+
     def test_warm_pivots_are_saved_on_repeats(self):
         ctx = _assert_stream_matches_cold([(0, 1, 2, 3)] * 4)
         assert ctx.stats()["pivots_saved"] > 0
-
-
-class TestShardedWarmEqualsCold:
-    """Sharded epoch streams under churn: repair must stay exact per shard."""
-
-    def test_identical_epochs_reuse_shard_bases(self):
-        ctx = _assert_stream_matches_cold([(0, 1, 2)] * 4, shards=1)
-        stats = ctx.stats()
-        assert stats["sharded_solves"] + stats["sharded_fallbacks"] == 4
-        if stats["sharded_solves"]:
-            # repeated epochs must hit the per-block basis store
-            assert len(ctx.warm.shard_basis) > 0
-
-    def test_shard_boundary_churn(self):
-        # jobs joining/leaving change which blocks exist epoch to epoch;
-        # stale shard bases must be repaired or dropped, never change results
-        _assert_stream_matches_cold(
-            [(0, 1, 2), (1, 2, 3), (1, 2, 3, 4), (0, 4), (0, 4), (0, 1, 2)],
-            shards=1,
-        )
-
-    def test_departure_then_return(self):
-        _assert_stream_matches_cold(
-            [(0, 1, 2, 3), (1, 3), (1, 3), (0, 1, 2, 3)], shards=1
-        )
 
 
 @given(
@@ -151,19 +127,6 @@ class TestShardedWarmEqualsCold:
 def test_random_epoch_deltas_property(subsets):
     """Any churn sequence: warm objectives match cold within tolerance."""
     _assert_stream_matches_cold([tuple(sorted(s)) for s in subsets])
-
-
-@given(
-    st.lists(
-        st.sets(st.sampled_from(POOL), min_size=1, max_size=5),
-        min_size=2,
-        max_size=4,
-    )
-)
-@settings(max_examples=10, deadline=None)
-def test_random_epoch_deltas_sharded_property(subsets):
-    """Sharded + warm under any churn: still matches cold within 1e-7."""
-    _assert_stream_matches_cold([tuple(sorted(s)) for s in subsets], shards=1)
 
 
 class TestNonWarmBackends:

@@ -14,7 +14,6 @@ from repro.perf.bench import (
     build_block_scenario,
     build_scenario,
     history_row,
-    resolve_bench_shards,
     scaling_history_rows,
 )
 
@@ -29,7 +28,6 @@ SCHEMA_KEYS = {
     "equivalence",
     "highs",
     "sweep",
-    "sharded",
     "scaling",
     "gate",
 }
@@ -78,8 +76,8 @@ class TestParser:
         assert not args.quick and args.workers is None
         assert args.history == "BENCH_history.jsonl" and not args.no_history
         assert args.trace is None and args.metrics is None
-        # sharded/scaling sections are opt-in
-        assert args.shards is None and not args.scaling
+        # the scaling section is opt-in
+        assert not args.scaling
 
     def test_flags(self):
         args = build_bench_parser().parse_args(
@@ -90,17 +88,8 @@ class TestParser:
         assert args.history == "h.jsonl"
         assert args.trace == "t.jsonl" and args.metrics == "m.json"
 
-    def test_shards_flag(self):
-        # bare --shards means "auto-pick"; an explicit count passes through
-        assert build_bench_parser().parse_args(["--shards"]).shards == 0
-        assert build_bench_parser().parse_args(["--shards", "4"]).shards == 4
+    def test_scaling_flag(self):
         assert build_bench_parser().parse_args(["--scaling"]).scaling is True
-
-    def test_resolve_bench_shards(self):
-        assert resolve_bench_shards(4) == 4
-        assert resolve_bench_shards(1) == 1
-        # auto never exceeds 8 and is always at least 1
-        assert 1 <= resolve_bench_shards(0) <= 8
 
 
 #: a minimal repro.bench/1 document with every field history_row reads
@@ -131,11 +120,6 @@ class TestHistory:
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(rows) == 2
         assert all(r["schema"] == HISTORY_SCHEMA for r in rows)
-
-    def test_sharded_speedup_rides_on_the_main_row(self):
-        assert history_row(FAKE_DOC)["sharded_speedup"] is None
-        doc = dict(FAKE_DOC, sharded={"speedup": 2.5})
-        assert history_row(doc)["sharded_speedup"] == 2.5
 
     def test_scaling_rows_one_per_size(self, tmp_path):
         doc = dict(
@@ -183,5 +167,8 @@ class TestQuickBenchEndToEnd:
         assert stats["warm_solves"] > 0
         assert stats["assembly_cache_hits"] > 0
         assert doc["sweep"]["results_identical"] is True
-        # opt-in sections stay null (but present) when not requested
-        assert doc["sharded"] is None and doc["scaling"] is None
+        # presolved+cached HiGHS must agree with plain HiGHS per epoch
+        assert doc["highs"]["max_rel_objective_delta"] <= REL_TOL
+        assert doc["gate"]["checks"]["highs_objectives_match"] is True
+        # the opt-in scaling section stays null (but present) when not requested
+        assert doc["scaling"] is None

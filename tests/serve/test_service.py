@@ -16,7 +16,12 @@ from repro.serve.journal import (
     ledger_to_dicts,
     read_wal,
 )
-from repro.serve.service import RecoveryError, SchedulingService, ServiceConfig
+from repro.serve.service import (
+    LEDGER_TOLERANCE,
+    RecoveryError,
+    SchedulingService,
+    ServiceConfig,
+)
 from repro.workload.job import DataObject, Job
 
 
@@ -253,6 +258,44 @@ class TestCrashRecovery:
         wal_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(RecoveryError):
             SchedulingService.recover(two_zone_cluster, config, tmp_path / "victim")
+
+    def test_legacy_start_record_still_recovers(self, two_zone_cluster, tmp_path):
+        """WALs whose start record still echoes the removed LP-decomposition
+        knob (legacy key, value 0 = monolithic) replay to the journaled costs."""
+        pairs = _workload(num_jobs=4)
+        config = _config()
+        reference = SchedulingService(two_zone_cluster, config)
+        reference.start()
+        ref_result = _run_to_completion(reference, pairs)
+
+        victim = SchedulingService(
+            two_zone_cluster, config, wal_dir=tmp_path / "victim"
+        )
+        victim.start()
+        for job, data in pairs:
+            victim.submit(job, data)
+        for _ in range(3):
+            victim.tick()
+        del victim
+
+        wal_path = tmp_path / "victim" / "wal.jsonl"
+        lines = wal_path.read_text().splitlines()
+        start = json.loads(lines[0])
+        assert start["type"] == REC_START
+        start["config"]["shards"] = 0
+        lines[0] = json.dumps(start)
+        wal_path.write_text("\n".join(lines) + "\n")
+
+        recovered, stats = SchedulingService.recover(
+            two_zone_cluster, config, tmp_path / "victim"
+        )
+        assert stats.records_replayed > 0
+        assert stats.max_cost_drift <= LEDGER_TOLERANCE
+        while recovered.backlog:
+            recovered.tick()
+        rec_result = recovered.result()
+        assert ledger_to_dicts(rec_result.ledger) == ledger_to_dicts(ref_result.ledger)
+        assert check_service_invariants(recovered, rec_result) == []
 
     def test_missing_wal_is_loud(self, two_zone_cluster, tmp_path):
         with pytest.raises(RecoveryError, match="no WAL"):
