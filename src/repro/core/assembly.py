@@ -30,7 +30,6 @@ from scipy import sparse
 from repro.core.model import SchedulingInput
 from repro.core.solution import CoScheduleSolution
 from repro.lp.problem import AssembledLP
-from repro.obs.registry import current_registry
 
 #: Safety multiplier making the fake node dominate any real schedule cost.
 FAKE_PRICE_MULTIPLIER: float = 1.0e3
@@ -80,82 +79,6 @@ class _Triplets:
         vals = np.concatenate(self.vals)
         rhs = np.concatenate(self.rhs)
         mat = sparse.csr_matrix((vals, (rows, cols)), shape=(self.next_row, num_cols))
-        return mat, rhs
-
-
-class AssemblyCache:
-    """Reuses the COO -> CSR conversion plan across structurally equal builds.
-
-    The expensive part of re-assembling an epoch model is not computing the
-    coefficient values (vectorised) but scipy's coo->csr conversion: a sort
-    of every triplet plus duplicate detection.  Keyed on
-    :meth:`ModelAssembler.structural_signature`, this cache stores the
-    lexsort permutation and the resulting CSR skeleton (``indptr`` /
-    ``indices``); a hit rebuilds the matrix by permuting the fresh values
-    into the cached skeleton — no sort, no allocation of index arrays.
-
-    Plans are only stored for duplicate-free triplet sets (a duplicate would
-    need summing, which the skeleton cannot express); models with duplicate
-    entries fall back to the plain scipy path every time.
-    """
-
-    def __init__(self) -> None:
-        self._plans: Dict[tuple, dict] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def _count(self, hit: bool) -> None:
-        registry = current_registry()
-        if registry is not None:
-            name = "assembly.cache_hits" if hit else "assembly.cache_misses"
-            registry.counter(name, help="assembly COO->CSR plan reuse").inc()
-
-    def build_matrix(
-        self, key: tuple, t: _Triplets, num_cols: int
-    ) -> Tuple[sparse.csr_matrix, np.ndarray]:
-        """Build ``(a_ub, b_ub)`` from triplets, reusing the plan for ``key``."""
-        if not t.rhs:
-            return sparse.csr_matrix((0, num_cols)), np.zeros(0)
-        vals = np.concatenate(t.vals)
-        rhs = np.concatenate(t.rhs)
-        shape = (t.next_row, num_cols)
-        plan = self._plans.get(key)
-        if plan is not None and plan["nnz"] == vals.shape[0] and plan["shape"] == shape:
-            self.hits += 1
-            self._count(hit=True)
-            # Assemble around the cached skeleton without the constructor's
-            # validation/cast pass; sharing the exact index-array objects
-            # also lets downstream identity-keyed caches (lp.presolve)
-            # recognise the unchanged pattern.
-            mat = sparse.csr_matrix(shape)
-            mat.data = vals[plan["order"]]
-            mat.indices = plan["indices"]
-            mat.indptr = plan["indptr"]
-            mat.has_sorted_indices = True
-            return mat, rhs
-        self.misses += 1
-        self._count(hit=False)
-        rows = np.concatenate(t.rows)
-        cols = np.concatenate(t.cols)
-        order = np.lexsort((cols, rows))
-        r_s = rows[order]
-        c_s = cols[order]
-        if np.any((r_s[1:] == r_s[:-1]) & (c_s[1:] == c_s[:-1])):
-            mat = sparse.csr_matrix((vals, (rows, cols)), shape=shape)
-            return mat, rhs
-        indptr = np.zeros(t.next_row + 1, dtype=np.int64)
-        np.cumsum(np.bincount(r_s, minlength=t.next_row), out=indptr[1:])
-        mat = sparse.csr_matrix((vals[order], c_s, indptr), shape=shape)
-        mat.has_sorted_indices = True
-        # store the matrix's own (possibly dtype-cast) index arrays so hits
-        # can share them verbatim
-        self._plans[key] = {
-            "order": order,
-            "indices": mat.indices,
-            "indptr": mat.indptr,
-            "nnz": vals.shape[0],
-            "shape": shape,
-        }
         return mat, rhs
 
 
@@ -299,34 +222,6 @@ class ModelAssembler:
             c[self.off_xd :] = unit.reshape(-1) + self.placement_tiebreak
         return c
 
-    # -- structural identity -------------------------------------------------
-    def structural_signature(self) -> tuple:
-        """Hashable key of everything that fixes the constraint *pattern*.
-
-        Two assemblers with equal signatures produce a_ub matrices with the
-        identical sparsity structure (same triplet order, same row layout) —
-        only coefficient/rhs *values* may differ.  This keys both the
-        :class:`AssemblyCache` and, indirectly, the standard-form and
-        warm-start caches downstream.
-        """
-        inp = self.inp
-        return (
-            self.K,
-            self.L,
-            self.S,
-            self.D,
-            self.kd.tobytes(),
-            self.kn.tobytes(),
-            np.asarray(inp.job_data, dtype=np.int64).tobytes(),
-            self.include_xd,
-            self.include_fake,
-            bool(self.epoch_bandwidth),
-            tuple(
-                tuple(int(k) for k in np.asarray(ids, dtype=int))
-                for ids, _ in self.min_cpu_rows
-            ),
-        )
-
     def _data_keys(self, job_keys: Sequence) -> List:
         """Stable identity of each data object: the key of its owning job."""
         owner: Dict[int, object] = {}
@@ -406,15 +301,10 @@ class ModelAssembler:
         return labels
 
     # -- constraints ---------------------------------------------------------
-    def build(
-        self,
-        cache: Optional[AssemblyCache] = None,
-        job_keys: Optional[Sequence] = None,
-    ) -> AssembledLP:
+    def build(self, job_keys: Optional[Sequence] = None) -> AssembledLP:
         """Assemble the sparse constraint system into an AssembledLP.
 
-        ``cache`` reuses the COO->CSR plan across structurally identical
-        builds; ``job_keys`` attaches stable column/row labels to the result
+        ``job_keys`` attaches stable column/row labels to the result
         (enabling simplex warm starts downstream).
         """
         inp = self.inp
@@ -559,12 +449,7 @@ class ModelAssembler:
                 )
         done()
 
-        if cache is not None:
-            a_ub, b_ub = cache.build_matrix(
-                self.structural_signature(), t, self.num_cols
-            )
-        else:
-            a_ub, b_ub = t.build(self.num_cols)
+        a_ub, b_ub = t.build(self.num_cols)
         bounds = np.tile(np.array([0.0, 1.0]), (self.num_cols, 1))
         asm = AssembledLP(
             c=self.objective(),

@@ -23,6 +23,7 @@ from repro.core.assembly import ModelAssembler
 from repro.core.model import SchedulingInput
 from repro.core.solution import CoScheduleSolution
 from repro.lp.result import LPStatus
+from repro.lp.warmstart import WarmStartContext
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ def solve_co_online(
     fairness: Optional[object] = None,
     strict: bool = False,
     on_failure: str = "raise",
-    incremental: Optional[object] = None,
+    warm: Optional[WarmStartContext] = None,
     job_keys: Optional[Sequence] = None,
 ) -> CoScheduleSolution:
     """Solve one epoch of the Figure 4 model.
@@ -68,12 +69,12 @@ def solve_co_online(
     :func:`~repro.resilience.degraded.greedy_epoch_solution` tagged with
     ``model="co-online-degraded"`` so the epoch still executes.
 
-    ``incremental`` (a :class:`repro.perf.IncrementalContext`) reuses the
-    assembly COO->CSR plan across structurally identical epochs and — on
-    backends advertising ``supports_warm_start`` — warm-starts the simplex
-    from the previous epoch's optimal basis.  ``job_keys`` supplies the
+    ``warm`` (one :class:`~repro.lp.warmstart.WarmStartContext` per solve
+    stream) warm-starts the solve from the previous epoch's optimal basis
+    exactly when the backend advertises ``supports_warm_start``; other
+    backends get the plain assembled model.  ``job_keys`` supplies the
     stable per-job identities (length ``inp.num_jobs``) the warm-start
-    labels are keyed on; without them the solve is cache-assisted but cold.
+    labels are keyed on; without them the solve is cold.
     """
     if on_failure not in ("raise", "greedy"):
         raise ValueError(f"on_failure must be 'raise' or 'greedy', got {on_failure!r}")
@@ -95,13 +96,8 @@ def solve_co_online(
         store_capacity=store_capacity,
         min_cpu_rows=min_cpu_rows,
     )
-    warm_capable = incremental is not None and getattr(
-        backend, "supports_warm_start", False
-    )
-    asm = assembler.build(
-        cache=incremental.assembly_cache if incremental is not None else None,
-        job_keys=job_keys if warm_capable else None,
-    )
+    warm_capable = warm is not None and getattr(backend, "supports_warm_start", False)
+    asm = assembler.build(job_keys=job_keys if warm_capable else None)
     asm.name = "co-online"
     if strict:
         from repro.lint import strict_check
@@ -109,7 +105,7 @@ def solve_co_online(
         strict_check(assembler, asm, "co-online")
     try:
         if warm_capable:
-            result = backend.solve_assembled(asm, warm=incremental.warm)
+            result = backend.solve_assembled(asm, warm=warm)
         else:
             result = backend.solve_assembled(asm)
         failure = (

@@ -39,6 +39,7 @@ from repro.core.model import SchedulingInput
 from repro.util import round_half_up
 from repro.core.solution import CoScheduleSolution, CostBreakdown
 from repro.cost.accounting import CostLedger
+from repro.lp.warmstart import WarmStartContext
 from repro.obs import lpprof
 from repro.obs.ledger import DollarLedger, emit_run_summary
 from repro.obs.registry import current_registry
@@ -164,7 +165,6 @@ class EpochController:
         tracer: Optional[object] = None,
         strict: bool = False,
         degraded_mode: bool = True,
-        incremental: bool = False,
     ) -> None:
         if epoch_length <= 0:
             raise ValueError("epoch_length must be positive")
@@ -184,12 +184,9 @@ class EpochController:
         self.degraded_mode = degraded_mode
         #: epochs scheduled by the degraded path in the most recent run
         self.degraded_epochs = 0
-        #: reuse assembly/standard-form structure and warm-start the simplex
-        #: from the previous epoch's basis (see repro.perf); off by default —
-        #: warm solves may pick a different optimal vertex under degeneracy
-        self.incremental = incremental
-        #: the IncrementalContext of the most recent run (None when off)
-        self.incremental_context = None
+        #: warm-start state of the most recent run (one per begin()); used
+        #: only by backends advertising ``supports_warm_start``
+        self.warm_context: Optional[WarmStartContext] = None
         #: optional live reconciliation: a :class:`repro.obs.ledger.
         #: RollingLedger` folded + re-reconciled against the run ledger
         #: after every scheduled epoch (repro.serve enables this; plain
@@ -303,10 +300,7 @@ class EpochController:
         """Open an incremental run (resets all per-run state)."""
         tracer = self.tracer if self.tracer is not None else current_tracer()
         self.degraded_epochs = 0
-        if self.incremental:
-            from repro.perf import IncrementalContext
-
-            self.incremental_context = IncrementalContext()
+        self.warm_context = WarmStartContext()
         self._state: Optional[_RunState] = _RunState(
             tracer=tracer,
             ledger=CostLedger(),
@@ -427,7 +421,7 @@ class EpochController:
                     fairness=self.fairness,
                     strict=self.strict,
                     on_failure="greedy" if self.degraded_mode else "raise",
-                    incremental=self.incremental_context,
+                    warm=self.warm_context,
                     job_keys=original_ids,
                 )
         if tracer.enabled:

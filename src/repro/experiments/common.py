@@ -64,15 +64,10 @@ class LipsFactory:
 
     epoch_length: float
     backend: Optional[object] = None
-    incremental: bool = False
 
     def __call__(self) -> LipsScheduler:
         """A fresh LiPS scheduler with this factory's configuration."""
-        return LipsScheduler(
-            epoch_length=self.epoch_length,
-            backend=self.backend,
-            incremental=self.incremental,
-        )
+        return LipsScheduler(epoch_length=self.epoch_length, backend=self.backend)
 
 
 def scheduler_lineup(

@@ -38,19 +38,8 @@ class HighsBackend:
 
     name = "highs"
 
-    def __init__(self, method: str = "highs", presolve: bool = False) -> None:
+    def __init__(self, method: str = "highs") -> None:
         self.method = method
-        #: apply repro.lp.presolve reductions before handing the model to
-        #: HiGHS; duals are then not reported (row identities change under
-        #: row elimination).  The pattern cache makes repeated presolves on
-        #: structurally identical epoch models near-free.
-        self.presolve = presolve
-        from repro.lp.presolve import PresolveCache
-
-        self._presolve_cache = PresolveCache()
-        #: (fixed_vars, dropped_rows) of the most recent presolve, for the
-        #: profiling wrapper
-        self._last_presolve = None
 
     def solve(self, lp: LinearProgram) -> LPResult:
         """Assemble and solve a LinearProgram, mapping names."""
@@ -67,11 +56,9 @@ class HighsBackend:
         status are recorded; otherwise profiling costs nothing.
         """
         if not lpprof.active():
-            return self._solve_assembled(asm)
-        self._last_presolve = None
+            return self._solve_raw(asm)
         t0 = time.perf_counter()
-        result = self._solve_assembled(asm)
-        fixed, dropped = self._last_presolve or (0, 0)
+        result = self._solve_raw(asm)
         lpprof.observe(
             lpprof.LPSolveRecord(
                 name=getattr(asm, "name", "lp"),
@@ -79,37 +66,11 @@ class HighsBackend:
                 wall_seconds=time.perf_counter() - t0,
                 iterations=result.iterations,
                 status=result.status.value,
-                presolve_fixed_vars=fixed,
-                presolve_dropped_rows=dropped,
-                presolve_applied=self.presolve,
                 meta=lpprof.current_scope(),
                 **lpprof.describe_assembled(asm),
             )
         )
         return result
-
-    def _solve_assembled(self, asm) -> LPResult:
-        if self.presolve:
-            from repro.lp.presolve import PresolveStatus, presolve
-
-            pre = presolve(asm, cache=self._presolve_cache)
-            self._last_presolve = (pre.fixed_variables, pre.dropped_rows)
-            if pre.status is PresolveStatus.INFEASIBLE:
-                return LPResult(
-                    status=LPStatus.INFEASIBLE,
-                    objective=float("nan"),
-                    x=None,
-                    backend=self.name,
-                    message="presolve proved infeasibility",
-                )
-            inner = self._solve_raw(pre.reduced)
-            if inner.x is not None:
-                inner.x = pre.restore(inner.x)
-            # row identities changed; duals no longer line up with asm rows
-            inner.dual_ub = None
-            inner.dual_eq = None
-            return inner
-        return self._solve_raw(asm)
 
     def _solve_raw(self, asm) -> LPResult:
         if asm.num_variables == 0:

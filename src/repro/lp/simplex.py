@@ -103,7 +103,7 @@ class SimplexBackend:
     """
 
     name = "simplex"
-    #: the incremental pipeline may pass ``warm=`` to :meth:`solve_assembled`
+    #: epoch streams pass ``warm=`` to :meth:`solve_assembled`
     supports_warm_start = True
 
     def __init__(

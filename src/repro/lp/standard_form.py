@@ -25,8 +25,8 @@ and warm-start labels) can be cached across repeated conversions of
 structurally identical models via
 :class:`StandardFormCache`; only the value-dependent parts (coefficients,
 right-hand sides, equilibration and sign normalisation) are recomputed per
-call.  That is what makes per-epoch re-solves cheap in the incremental
-pipeline (see :mod:`repro.perf`).
+call.  That is what makes warm-started per-epoch re-solves cheap (see
+:mod:`repro.lp.warmstart`).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.lp.problem import AssembledLP
+from repro.obs.registry import current_registry
 
 
 @dataclass
@@ -125,7 +126,9 @@ class StandardFormCache:
     Keyed on :func:`_structure_key`; a hit skips rebuilding the column
     mapping, row layout, labels and recovery recipe.  Coefficients, rhs,
     equilibration and the b >= 0 normalisation are always recomputed — they
-    are value-dependent and cheap (vectorised).
+    are value-dependent and cheap (vectorised).  Hits and misses are
+    mirrored into the installed registry as ``simplex.std_cache_hits`` /
+    ``simplex.std_cache_misses``.
     """
 
     def __init__(self) -> None:
@@ -137,7 +140,12 @@ class StandardFormCache:
     def plan_for(self, asm: AssembledLP) -> _StdPlan:
         """The rewrite plan for ``asm``, reused when the structure matches."""
         key = _structure_key(asm)
-        if self._key == key and self._plan is not None:
+        hit = self._key == key and self._plan is not None
+        registry = current_registry()
+        if registry is not None:
+            name = "simplex.std_cache_hits" if hit else "simplex.std_cache_misses"
+            registry.counter(name, help="standard-form plan reuse").inc()
+        if hit:
             self.hits += 1
             return self._plan
         self.misses += 1
@@ -241,8 +249,8 @@ def to_standard_form(
     """Rewrite an :class:`AssembledLP` into equality standard form.
 
     ``cache`` (optional) reuses the structural plan across conversions of
-    structurally identical models — the incremental epoch pipeline passes a
-    per-context :class:`StandardFormCache` so only values are recomputed.
+    structurally identical models — warm-started epoch streams pass their
+    :class:`StandardFormCache` so only values are recomputed.
     """
     n = asm.num_variables
     plan = cache.plan_for(asm) if cache is not None else _build_plan(asm)

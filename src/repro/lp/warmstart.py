@@ -11,9 +11,10 @@ LPs — the epoch controller's per-epoch models.  It owns
   its starting point instead of a cold two-phase solve.
 
 The context also keeps per-stream statistics mirrored into the installed
-:mod:`repro.obs.registry` (``simplex.warm_solves`` by outcome and
-``simplex.warm_pivots_saved``); pivots saved are measured against the most
-recent cold solve of the same stream.
+:mod:`repro.obs.registry` (``simplex.warm_solves`` by outcome,
+``simplex.warm_pivots_saved`` and the cache's
+``simplex.std_cache_hits``/``simplex.std_cache_misses``); pivots saved are
+measured against the most recent cold solve of the same stream.
 """
 
 from __future__ import annotations

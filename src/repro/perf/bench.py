@@ -1,16 +1,18 @@
-"""``python -m repro bench`` — the incremental-pipeline benchmark.
+"""``python -m repro bench`` — the epoch-LP pipeline benchmark.
 
-Times three things on a deterministic epoch-loop scenario (the Figure 8
+Times four things on a deterministic epoch-loop scenario (the Figure 8
 testbed shape: paper machines, two long jobs sized to span several epochs):
 
-* **cold** — the from-scratch simplex re-assembling and re-solving every
-  epoch with no shared state;
-* **incremental** — the same loop with an
-  :class:`~repro.perf.IncrementalContext`: assembly-plan reuse, cached
-  standard-form conversion and warm-started simplex;
-* **HiGHS** — the production backend plain vs ``presolve=True`` with the
-  pattern cache (timings reported, not gated: HiGHS is already fast here;
-  the two loops' per-epoch objectives must agree within ``REL_TOL``);
+* **warm simplex** — the epoch loop on the from-scratch simplex, which
+  warm-starts every epoch from the previous basis.  A recording backend
+  keeps each epoch's assembled model and its warm solve time;
+* **cold re-solves** — every kept model solved again by a fresh
+  ``SimplexBackend()`` and by ``HighsBackend()``.  Comparing solves of
+  identical models is what keeps the gates sound: two epoch *loops* on
+  different backends drift apart once alternative optima feed later
+  epochs' inputs;
+* **HiGHS loop** — the production backend's epoch loop wall (reported,
+  not gated);
 * **sweep throughput** — a small figure-5 grid run serially and through
   the process-pool path (reported, not gated: single-core CI boxes show
   no speedup by construction);
@@ -18,9 +20,10 @@ testbed shape: paper machines, two long jobs sized to span several epochs):
   event throughput at 20/100/500/1000 machines, appended as one
   ``repro.bench-history/1`` row per size (reported, not gated).
 
-The regression gate requires the incremental loop to be no slower than the
-cold loop and every per-epoch objective to agree within ``REL_TOL``, on
-the simplex and on HiGHS alike.
+The regression gate requires the warm solves to take no longer than the
+cold simplex re-solves, every kept model's warm objective to agree with
+both cold re-solves within ``REL_TOL``, and the parallel sweep to equal
+the serial one.
 Results are written as JSON (schema ``repro.bench/1``, documented in the
 README's Benchmarks section) and mirrored into ``bench.*`` gauges when a
 metrics registry is active.
@@ -42,7 +45,7 @@ from repro.core.epoch import EpochController
 from repro.obs.registry import current_registry
 from repro.workload.job import DataObject, Job, Workload
 
-#: paired epoch loops' objectives must agree to this relative tolerance
+#: warm and cold solves of one model must agree to this relative tolerance
 REL_TOL = 1e-7
 
 #: JSON schema identifier written into every benchmark file
@@ -73,11 +76,11 @@ def history_row(doc: dict) -> dict:
         "quick": doc["quick"],
         "machines": doc["scenario"]["machines"],
         "epochs": doc["cold"]["epochs"],
-        "cold_wall_s": doc["cold"]["wall_s"],
-        "incremental_wall_s": doc["incremental"]["wall_s"],
+        "cold_solve_s": doc["cold"]["solve_s"],
+        "incremental_solve_s": doc["incremental"]["solve_s"],
         "speedup": doc["speedup"],
         "highs_cold_wall_s": doc["highs"]["cold_wall_s"],
-        "highs_presolve_wall_s": doc["highs"]["presolve_wall_s"],
+        "highs_solve_s": doc["highs"]["solve_s"],
         "sweep_serial_points_per_s": doc["sweep"]["serial_points_per_s"],
         "sweep_parallel_points_per_s": doc["sweep"]["parallel_points_per_s"],
         "gate_ok": doc["gate"]["ok"],
@@ -119,7 +122,7 @@ def build_scenario(quick: bool = False) -> Tuple[object, Workload, float, dict]:
 
     Two jobs sized so the workload spans several epochs of the paper
     testbed — each epoch's LP is structurally identical to the last, which
-    is exactly the shape the incremental pipeline exploits.
+    is exactly the shape simplex warm starts exploit.
     """
     machines = 12 if quick else 20
     epochs_target = 8 if quick else 10
@@ -226,14 +229,10 @@ def build_block_scenario(
     return cluster, Workload(jobs=jobs, data=data), epoch_length, meta
 
 
-def _timed_epoch_loop(cluster, workload, epoch_length, backend, incremental):
+def _timed_epoch_loop(cluster, workload, epoch_length, backend):
     """Run the epoch loop once; returns (wall_s, objectives, controller)."""
     controller = EpochController(
-        cluster,
-        epoch_length,
-        backend=backend,
-        keep_solutions=True,
-        incremental=incremental,
+        cluster, epoch_length, backend=backend, keep_solutions=True
     )
     t0 = time.perf_counter()
     result = controller.run(workload)
@@ -242,64 +241,83 @@ def _timed_epoch_loop(cluster, workload, epoch_length, backend, incremental):
     return wall, objectives, controller
 
 
-def _rel_delta(cold: Sequence[float], warm: Sequence[float]) -> float:
-    """Worst relative per-epoch objective disagreement."""
-    if len(cold) != len(warm):
-        return float("inf")
-    return max(
-        (abs(a - b) / max(1.0, abs(a)) for a, b in zip(cold, warm)), default=0.0
-    )
+class _RecordingBackend:
+    """Delegates warm solves, keeping each model, its objective and time."""
+
+    supports_warm_start = True
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.models: list = []
+        self.objectives: list = []
+        self.solve_s: list = []
+
+    def solve_assembled(self, asm, warm=None):  # lint: ok=AST005
+        """Time one solve; the inner backend does the lpprof recording."""
+        t0 = time.perf_counter()
+        result = self.inner.solve_assembled(asm, warm=warm)
+        self.solve_s.append(time.perf_counter() - t0)
+        self.models.append(asm)
+        self.objectives.append(result.objective)
+        return result
 
 
-def _bench_simplex(cluster, workload, epoch_length) -> dict:
-    """Cold vs incremental epoch loops on the from-scratch simplex."""
-    from repro.lp.simplex import SimplexBackend
+def _resolve(backend, models) -> Tuple[float, list]:
+    """Solve each model cold; returns (total solve seconds, objectives)."""
+    total, objectives = 0.0, []
+    for asm in models:
+        t0 = time.perf_counter()
+        objectives.append(backend.solve_assembled(asm).objective)
+        total += time.perf_counter() - t0
+    return total, objectives
 
-    cold_wall, cold_obj, _ = _timed_epoch_loop(
-        cluster, workload, epoch_length, SimplexBackend(), incremental=False
-    )
-    warm_wall, warm_obj, controller = _timed_epoch_loop(
-        cluster, workload, epoch_length, SimplexBackend(), incremental=True
-    )
-    delta = _rel_delta(cold_obj, warm_obj)
-    speedup = cold_wall / warm_wall if warm_wall > 0 else float("inf")
+
+def _agreement(ref: Sequence[float], other: Sequence[float]) -> dict:
+    """Per-model relative objective deltas and whether all are within
+    ``REL_TOL`` (a NaN from a failed solve disagrees)."""
+    deltas = [abs(a - b) / max(1.0, abs(a)) for a, b in zip(ref, other)]
     return {
-        "cold": {"wall_s": cold_wall, "epochs": len(cold_obj)},
-        "incremental": {
-            "wall_s": warm_wall,
-            "epochs": len(warm_obj),
-            "stats": controller.incremental_context.stats(),
-        },
-        "speedup": speedup,
-        "equivalence": {
-            "max_rel_objective_delta": delta,
-            "tolerance": REL_TOL,
-            "ok": bool(delta <= REL_TOL),
-        },
+        "rel_objective_deltas": deltas,
+        "max_rel_objective_delta": max(deltas, default=0.0),
+        "ok": all(d <= REL_TOL for d in deltas),
     }
 
 
-def _bench_highs(cluster, workload, epoch_length) -> dict:
-    """Plain vs presolve+pattern-cache epoch loops on HiGHS.
-
-    Timings are reported only; the objective agreement between the two
-    loops is gated (``highs_objectives_match``).
-    """
+def _bench_simplex(cluster, workload, epoch_length) -> dict:
+    """Warm simplex epoch loop, its models re-solved cold on both backends."""
     from repro.lp.scipy_backend import HighsBackend
+    from repro.lp.simplex import SimplexBackend
 
-    plain_wall, plain_obj, _ = _timed_epoch_loop(
-        cluster, workload, epoch_length, HighsBackend(), incremental=False
+    recorder = _RecordingBackend(SimplexBackend())
+    loop_wall, _, controller = _timed_epoch_loop(
+        cluster, workload, epoch_length, recorder
     )
-    backend = HighsBackend(presolve=True)
-    pre_wall, pre_obj, _ = _timed_epoch_loop(
-        cluster, workload, epoch_length, backend, incremental=True
+    warm_s = sum(recorder.solve_s)
+    cold_s, cold_obj = _resolve(SimplexBackend(), recorder.models)
+    highs_s, highs_obj = _resolve(HighsBackend(), recorder.models)
+    highs_loop_wall, _, _ = _timed_epoch_loop(
+        cluster, workload, epoch_length, HighsBackend()
     )
+    epochs = len(recorder.models)
     return {
-        "cold_wall_s": plain_wall,
-        "presolve_wall_s": pre_wall,
-        "presolve_cache_hits": backend._presolve_cache.hits,
-        "presolve_cache_misses": backend._presolve_cache.misses,
-        "max_rel_objective_delta": _rel_delta(plain_obj, pre_obj),
+        "cold": {"solve_s": cold_s, "epochs": epochs},
+        "incremental": {
+            "solve_s": warm_s,
+            "loop_wall_s": loop_wall,
+            "epochs": epochs,
+            "stats": controller.warm_context.stats(),
+        },
+        "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
+        "equivalence": {
+            **_agreement(cold_obj, recorder.objectives),
+            "tolerance": REL_TOL,
+        },
+        "highs": {
+            "cold_wall_s": highs_loop_wall,
+            "solve_s": highs_s,
+            **_agreement(highs_obj, recorder.objectives),
+        },
     }
 
 
@@ -350,7 +368,7 @@ def _bench_scaling(sizes: Sequence[int] = SCALING_MACHINES) -> list:
             machines, n_jobs=8, epochs_target=2
         )
         solve_wall, objectives, _ = _timed_epoch_loop(
-            cluster, workload, epoch_length, HighsBackend(), incremental=False
+            cluster, workload, epoch_length, HighsBackend()
         )
         sim = HadoopSimulator(
             cluster,
@@ -387,15 +405,14 @@ def run_bench(
     """
     cluster, workload, epoch_length, meta = build_scenario(quick)
     simplex = _bench_simplex(cluster, workload, epoch_length)
-    highs = _bench_highs(cluster, workload, epoch_length)
     sweep = _bench_sweep(quick, workers)
     scaling_rows = _bench_scaling() if scaling else None
     gate_checks = {
-        "incremental_not_slower": bool(simplex["speedup"] >= 1.0),
-        "objectives_match": simplex["equivalence"]["ok"],
-        "highs_objectives_match": bool(
-            highs["max_rel_objective_delta"] <= REL_TOL
+        "incremental_not_slower": bool(
+            simplex["incremental"]["solve_s"] <= simplex["cold"]["solve_s"]
         ),
+        "objectives_match": simplex["equivalence"]["ok"],
+        "highs_objectives_match": simplex["highs"]["ok"],
         "sweep_results_identical": sweep["results_identical"],
     }
     doc = {
@@ -403,20 +420,19 @@ def run_bench(
         "quick": quick,
         "scenario": meta,
         **simplex,
-        "highs": highs,
         "sweep": sweep,
         "scaling": scaling_rows,
         "gate": {"ok": all(gate_checks.values()), "checks": gate_checks},
     }
     registry = current_registry()
     if registry is not None:
-        registry.gauge("bench.cold_wall_s", help="cold epoch loop wall").set(
-            simplex["cold"]["wall_s"]
-        )
         registry.gauge(
-            "bench.incremental_wall_s", help="incremental epoch loop wall"
-        ).set(simplex["incremental"]["wall_s"])
-        registry.gauge("bench.speedup", help="cold/incremental wall ratio").set(
+            "bench.cold_solve_s", help="cold simplex re-solves of the loop's models"
+        ).set(simplex["cold"]["solve_s"])
+        registry.gauge(
+            "bench.incremental_solve_s", help="warm simplex solves in the epoch loop"
+        ).set(simplex["incremental"]["solve_s"])
+        registry.gauge("bench.speedup", help="cold/warm solve-time ratio").set(
             simplex["speedup"]
         )
     return doc
@@ -426,9 +442,9 @@ def build_bench_parser() -> argparse.ArgumentParser:
     """Parser for the ``python -m repro bench`` subcommand."""
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description="Benchmark the incremental epoch-LP pipeline (assembly "
-        "caching + simplex warm starts) against cold per-epoch solves, and "
-        "the parallel sweep path against serial.  Writes a repro.bench/1 "
+        description="Benchmark the warm-started simplex epoch loop against "
+        "cold simplex and HiGHS re-solves of the same models, and the "
+        "parallel sweep path against serial.  Writes a repro.bench/1 "
         "JSON document and exits 1 when the regression gate fails.",
     )
     parser.add_argument(
@@ -522,18 +538,17 @@ def main(argv: Sequence[str]) -> int:
         print(f"appended {args.history}")
     eq = doc["equivalence"]
     print(
-        f"epoch loop ({doc['scenario']['machines']} machines, "
+        f"simplex epoch loop ({doc['scenario']['machines']} machines, "
         f"{doc['cold']['epochs']} epochs): "
-        f"cold {doc['cold']['wall_s']:.2f}s, "
-        f"incremental {doc['incremental']['wall_s']:.2f}s "
+        f"warm solves {doc['incremental']['solve_s']:.2f}s, "
+        f"cold re-solves {doc['cold']['solve_s']:.2f}s "
         f"({doc['speedup']:.2f}x), "
         f"max rel obj delta {eq['max_rel_objective_delta']:.2e}"
     )
     print(
-        f"highs: plain {doc['highs']['cold_wall_s']:.2f}s, "
-        f"presolve+cache {doc['highs']['presolve_wall_s']:.2f}s "
-        f"({doc['highs']['presolve_cache_hits']} cache hits), "
-        f"max rel obj delta {doc['highs']['max_rel_objective_delta']:.2e}"
+        f"highs: loop {doc['highs']['cold_wall_s']:.2f}s, "
+        f"re-solves {doc['highs']['solve_s']:.2f}s, "
+        f"max rel obj delta vs warm {doc['highs']['max_rel_objective_delta']:.2e}"
     )
     print(
         f"sweep: {doc['sweep']['points']} points, "

@@ -37,6 +37,7 @@ from repro.core.co_online import OnlineModelConfig, solve_co_online
 from repro.core.model import SchedulingInput
 from repro.core.rounding import round_schedule
 from repro.hadoop.jobtracker import JobState
+from repro.lp.warmstart import WarmStartContext
 from repro.obs.registry import current_registry
 from repro.obs.spans import PlanLinks
 from repro.hadoop.tasktracker import SimTask, TaskTracker
@@ -113,12 +114,11 @@ class LipsScheduler(TaskScheduler):
         unplaced tasks stay unplanned (the usual fake-node parking) and
         replan next epoch.  An ``epoch.degraded`` trace event is emitted
         and ``epochs_degraded_total`` counted.
-    incremental:
-        Thread a :class:`repro.perf.IncrementalContext` through the
-        per-epoch solves: assembly structure reuse on every backend plus
-        simplex warm starts keyed on stable (job, zone) sub-job identities
-        on backends that support them.  Off by default — warm solves may
-        pick a different optimal vertex under degeneracy.
+
+    Each :meth:`bind` opens a fresh warm-start context
+    (``warm_context``); backends advertising ``supports_warm_start``
+    warm-start every epoch from the previous basis, keyed on stable
+    (job, zone) sub-job identities.
     """
 
     def __init__(
@@ -128,7 +128,6 @@ class LipsScheduler(TaskScheduler):
         enforce_bandwidth: bool = True,
         strict: bool = False,
         degraded_mode: bool = True,
-        incremental: bool = False,
     ) -> None:
         super().__init__()
         if epoch_length <= 0:
@@ -138,12 +137,8 @@ class LipsScheduler(TaskScheduler):
         self.enforce_bandwidth = enforce_bandwidth
         self.strict = strict
         self.degraded_mode = degraded_mode
-        if incremental:
-            from repro.perf import IncrementalContext
-
-            self.incremental_context = IncrementalContext()
-        else:
-            self.incremental_context = None
+        #: warm-start state of the bound simulation's solve stream
+        self.warm_context: Optional[WarmStartContext] = None
         #: epochs planned by the greedy degraded path over this sim's lifetime
         self.degraded_epochs = 0
         self.plans: Dict[int, Deque[_PlanEntry]] = {}
@@ -159,6 +154,7 @@ class LipsScheduler(TaskScheduler):
     # -- binding -----------------------------------------------------------
     def bind(self, sim) -> None:
         super().bind(sim)
+        self.warm_context = WarmStartContext()
         self.plans = {m.machine_id: deque() for m in sim.cluster.machines}
         self._zone_cluster = build_zone_aggregate(sim.cluster)
         self._zone_index = {
@@ -196,7 +192,7 @@ class LipsScheduler(TaskScheduler):
             backend=self.backend,
             strict=self.strict,
             on_failure="greedy" if self.degraded_mode else "raise",
-            incremental=self.incremental_context,
+            warm=self.warm_context,
             job_keys=job_keys,
         )
         if sol.model == DEGRADED_MODEL:

@@ -135,3 +135,34 @@ class TestDecode:
         sol = a.decode(x, objective=0.0, model="test")
         assert np.all(sol.xt_data >= 0)
         assert np.all(sol.xd >= 0)
+
+
+def _online_assembler(small_input):
+    return ModelAssembler(
+        small_input,
+        include_xd=True,
+        horizon=500.0,
+        include_fake=True,
+        epoch_bandwidth=True,
+    )
+
+
+class TestLabels:
+    def test_column_labels_cover_every_column(self, small_input):
+        assembler = _online_assembler(small_input)
+        asm = assembler.build(job_keys=list(range(small_input.num_jobs)))
+        assert asm.col_labels is not None
+        assert len(asm.col_labels) == asm.num_variables
+        assert len(set(asm.col_labels)) == asm.num_variables
+
+    def test_row_labels_cover_every_ub_row(self, small_input):
+        assembler = _online_assembler(small_input)
+        asm = assembler.build(job_keys=list(range(small_input.num_jobs)))
+        assert asm.row_labels_ub is not None
+        assert len(asm.row_labels_ub) == asm.a_ub.shape[0]
+        assert len(set(asm.row_labels_ub)) == asm.a_ub.shape[0]
+
+    def test_job_keys_length_is_validated(self, small_input):
+        assembler = _online_assembler(small_input)
+        with pytest.raises(ValueError):
+            assembler.build(job_keys=[0])

@@ -1,9 +1,9 @@
 """Warm-started epoch solves must be indistinguishable from cold ones.
 
-The incremental pipeline (assembly plan cache -> standard-form cache ->
-basis snapshot/repair -> warm simplex) may only change *wall time*, never
-results: every epoch objective must match a from-scratch solve within
-``1e-7`` relative, under job arrival and departure churn between epochs.
+The warm-start pipeline (standard-form cache -> basis snapshot/repair ->
+warm simplex) may only change *wall time*, never results: every epoch
+objective must match a from-scratch solve within ``1e-7`` relative, under
+job arrival and departure churn between epochs.
 """
 
 import numpy as np
@@ -13,10 +13,14 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.builder import ClusterBuilder
 from repro.cluster.topology import Topology
 from repro.core.co_online import OnlineModelConfig, solve_co_online
+from repro.core.epoch import EpochController
 from repro.core.model import SchedulingInput
+from repro.hadoop.sim import HadoopSimulator, SimConfig
 from repro.lp.scipy_backend import HighsBackend
 from repro.lp.simplex import SimplexBackend
-from repro.perf import IncrementalContext
+from repro.lp.warmstart import WarmStartContext
+from repro.obs.registry import MetricsRegistry, use_registry
+from repro.schedulers.lips import LipsScheduler
 from repro.workload.job import DataObject, Job, Workload
 
 REL_TOL = 1e-7
@@ -34,8 +38,8 @@ def _cluster():
     return b.build()
 
 
-def _input_for(cluster, job_ids):
-    """SchedulingInput over the given subset of the five-job pool.
+def _workload_for(job_ids):
+    """Workload over the given subset of the five-job pool.
 
     Jobs and data are densely renumbered per subset (the Workload
     contract); stable pool identity — what the warm-start labels key on —
@@ -55,7 +59,12 @@ def _input_for(cluster, job_ids):
         )
         for i, j in enumerate(job_ids)
     ]
-    return SchedulingInput.from_parts(cluster, Workload(jobs=jobs, data=data))
+    return Workload(jobs=jobs, data=data)
+
+
+def _input_for(cluster, job_ids):
+    """SchedulingInput over the given subset of the five-job pool."""
+    return SchedulingInput.from_parts(cluster, _workload_for(job_ids))
 
 
 def _assert_stream_matches_cold(epoch_subsets, epoch_length=200.0):
@@ -66,7 +75,7 @@ def _assert_stream_matches_cold(epoch_subsets, epoch_length=200.0):
     """
     cluster = _cluster()
     config = OnlineModelConfig(epoch_length=epoch_length)
-    ctx = IncrementalContext()
+    ctx = WarmStartContext()
     warm_backend = SimplexBackend()
     for job_ids in epoch_subsets:
         inp = _input_for(cluster, job_ids)
@@ -74,7 +83,7 @@ def _assert_stream_matches_cold(epoch_subsets, epoch_length=200.0):
             inp,
             config,
             backend=warm_backend,
-            incremental=ctx,
+            warm=ctx,
             job_keys=list(job_ids),
         )
         cold = solve_co_online(inp, config, backend=SimplexBackend())
@@ -93,7 +102,6 @@ class TestWarmEqualsCold:
         stats = ctx.stats()
         # after the first cold epoch the stream should actually warm-start
         assert stats["warm_solves"] >= 2
-        assert stats["assembly_cache_hits"] >= 2
         assert stats["std_cache_hits"] >= 2
 
     def test_job_arrival(self):
@@ -129,23 +137,66 @@ def test_random_epoch_deltas_property(subsets):
     _assert_stream_matches_cold([tuple(sorted(s)) for s in subsets])
 
 
+class _Spy:
+    """Delegating backend that keeps every assembled model it is handed."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.supports_warm_start = getattr(inner, "supports_warm_start", False)
+        self.models = []
+
+    def solve_assembled(self, asm, **kwargs):
+        self.models.append(asm)
+        return self.inner.solve_assembled(asm, **kwargs)
+
+
+def _epoch_run(backend):
+    """A two-job EpochController run spanning several epochs."""
+    controller = EpochController(_cluster(), 5.0, backend=backend)
+    controller.run(_workload_for((3, 4)))
+    return controller
+
+
+def _lips_run(backend):
+    """A LiPS simulation whose short epochs need several LP solves."""
+    scheduler = LipsScheduler(epoch_length=5.0, backend=backend)
+    HadoopSimulator(
+        _cluster(),
+        _workload_for((2, 3, 4)),
+        scheduler,
+        SimConfig(placement_seed=0, speculative=False),
+    ).run()
+    return scheduler
+
+
+#: the two solve streams: one EpochController run, one LiPS simulation
+STREAMS = pytest.mark.parametrize(
+    "run", [_epoch_run, _lips_run], ids=["epoch-controller", "lips"]
+)
+
+
+class TestWarmSelection:
+    @STREAMS
+    def test_simplex_streams_warm_start(self, run):
+        """A warm-start-capable backend is enough to warm-start a stream."""
+        spy = _Spy(SimplexBackend())
+        owner = run(spy)
+        assert len(spy.models) >= 2
+        assert owner.warm_context.warm_solves >= 1
+        assert all(asm.col_labels is not None for asm in spy.models)
+
+
 class TestNonWarmBackends:
-    def test_highs_uses_cache_but_stays_cold(self):
-        cluster = _cluster()
-        config = OnlineModelConfig(epoch_length=200.0)
-        ctx = IncrementalContext()
-        backend = HighsBackend()
-        objs = [
-            solve_co_online(
-                cluster_input, config, backend=backend, incremental=ctx, job_keys=(0, 1)
-            ).objective
-            for cluster_input in [_input_for(cluster, (0, 1))] * 3
-        ]
-        assert objs[0] == pytest.approx(objs[1]) == pytest.approx(objs[2])
-        stats = ctx.stats()
-        # assembly plans are shared; the warm-start machinery never engages
-        assert stats["assembly_cache_hits"] >= 1
+    @STREAMS
+    def test_highs_streams_stay_cold(self, run):
+        """HiGHS gets the plain model: no labels, no warm-start accounting."""
+        spy = _Spy(HighsBackend())
+        owner = run(spy)
+        assert len(spy.models) >= 2
+        stats = owner.warm_context.stats()
         assert stats["warm_solves"] == 0 and stats["cold_solves"] == 0
+        assert all(asm.col_labels is None for asm in spy.models)
 
     def test_incremental_none_is_plain_cold_path(self):
         cluster = _cluster()
@@ -157,10 +208,8 @@ class TestNonWarmBackends:
 
 class TestWarmStartContext:
     def test_stats_keys(self):
-        stats = IncrementalContext().stats()
+        stats = WarmStartContext().stats()
         assert {
-            "assembly_cache_hits",
-            "assembly_cache_misses",
             "warm_solves",
             "cold_solves",
             "fallbacks",
@@ -170,16 +219,27 @@ class TestWarmStartContext:
         } <= set(stats)
         assert all(v == 0 for v in stats.values())
 
+    def test_std_cache_counters_reach_registry(self):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            ctx = _assert_stream_matches_cold([(0, 1, 2)] * 3)
+        totals = {m["name"]: m for m in registry.dump()}
+        hits = totals["simplex.std_cache_hits"]
+        misses = totals["simplex.std_cache_misses"]
+        assert ctx.std_cache.hits >= 1 and ctx.std_cache.misses >= 1
+        assert sum(s["value"] for s in hits["series"]) == ctx.std_cache.hits
+        assert sum(s["value"] for s in misses["series"]) == ctx.std_cache.misses
+
     def test_fake_fraction_consistency_under_warm(self):
         """Tight epochs park work on the fake node identically warm or cold."""
         cluster = _cluster()
         config = OnlineModelConfig(epoch_length=5.0)
-        ctx = IncrementalContext()
+        ctx = WarmStartContext()
         backend = SimplexBackend()
         for _ in range(3):
             inp = _input_for(cluster, (0, 1, 2))
             warm = solve_co_online(
-                inp, config, backend=backend, incremental=ctx, job_keys=(0, 1, 2)
+                inp, config, backend=backend, warm=ctx, job_keys=(0, 1, 2)
             )
             cold = solve_co_online(inp, config, backend=SimplexBackend())
             assert np.allclose(warm.fake.sum(), cold.fake.sum(), atol=1e-6)
