@@ -38,7 +38,6 @@ class JobState:
     #: map-output MB accumulated per machine (shuffle sources)
     map_output_mb: Dict[int, float] = field(default_factory=dict)
     #: completion counters kept by finish_attempt — O(1) is_complete checks
-    #: (these run on every heartbeat for every queued job)
     completed_maps: int = 0
     completed_reduces: int = 0
     #: trace identity of the job's submit event (traced runs only)
@@ -142,7 +141,9 @@ class JobTracker:
     def __init__(self, hdfs: HDFS, tracer=None) -> None:
         self.hdfs = hdfs
         self.jobs: Dict[int, JobState] = {}
-        self.queue: List[JobState] = []  # incomplete jobs, FIFO by submit
+        #: incomplete jobs only, FIFO by submit; finish_attempt drops a job
+        #: the moment it completes, so per-heartbeat scans skip finished work
+        self.queue: List[JobState] = []
         self._attempt_ids = itertools.count()
         #: trace emitter for job lifecycle (the simulator installs its own)
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -155,7 +156,8 @@ class JobTracker:
         tasks = expand_job(job, workload, self.hdfs)
         state = JobState(job=job, tasks=tasks, pending=list(tasks), submit_time=now)
         self.jobs[job.job_id] = state
-        self.queue.append(state)
+        if not state.is_complete:  # a job with no tasks is done on arrival
+            self.queue.append(state)
         if self.tracer.enabled:
             state.span_id = self.tracer.new_span_id()
             self.tracer.event(
@@ -170,21 +172,9 @@ class JobTracker:
             )
         return state
 
-    def incomplete_jobs(self) -> List[JobState]:
-        """Queue entries that have not finished."""
-        return [j for j in self.queue if not j.is_complete]
-
-    def has_pending_work(self) -> bool:
-        """True while anything is pending or running."""
-        return any(
-            j.pending or j.reduce_pending or j.num_running
-            for j in self.queue
-            if not j.is_complete
-        )
-
     def has_pending_tasks(self) -> bool:
         """True while any map or reduce awaits launch."""
-        return any(j.pending or j.reduce_pending for j in self.queue if not j.is_complete)
+        return any(j.pending or j.reduce_pending for j in self.queue)
 
     def create_reduces(self, job: JobState) -> List[SimTask]:
         """Materialise a job's reduce tasks once every map has finished.
@@ -257,6 +247,7 @@ class JobTracker:
                 job.completed_maps += 1
         if job.is_complete and job.finish_time is None:
             job.finish_time = now
+            self.queue = [j for j in self.queue if j is not job]
             if self.tracer.enabled:
                 self.tracer.span(
                     "job",
@@ -294,7 +285,7 @@ class JobTracker:
         best = None
         best_finish = now
         for job in self.queue:
-            if job.is_complete or job.pending:
+            if job.pending:
                 continue
             for key, attempts in job.running.items():
                 live = [a for a in attempts if not a.killed and not a.task.is_reduce]
@@ -311,9 +302,9 @@ class JobTracker:
     # -- metrics helpers ---------------------------------------------------------
     def all_complete(self) -> bool:
         """True when every submitted job finished."""
-        return all(j.is_complete for j in self.queue)
+        return not self.queue
 
     def makespan(self) -> float:
         """Latest job finish time (0 when none finished)."""
-        finishes = [j.finish_time for j in self.queue if j.finish_time is not None]
+        finishes = [j.finish_time for j in self.jobs.values() if j.finish_time is not None]
         return max(finishes, default=0.0)

@@ -6,8 +6,9 @@ pluggable scheduler, then replays a workload:
 1. data objects are pre-populated into HDFS (random block placement by
    default, like the paper's shuffled baseline);
 2. jobs arrive at their ``arrival_time`` and expand into block-level tasks;
-3. whenever a slot is free the scheduler is offered it; accepted assignments
-   run for ``read_time + cpu/ecu`` seconds and charge dollar costs;
+3. whenever a slot is free on a tracker the scheduler's ``offer_interest``
+   names, the scheduler is offered it; accepted assignments run for
+   ``read_time + cpu/ecu`` seconds and charge dollar costs;
 4. optional speculative execution duplicates straggler attempts (disabled
    for LiPS, as in the paper);
 5. the run ends when every job completes; metrics summarise cost, makespan
@@ -185,11 +186,22 @@ class HadoopSimulator:
 
     # -- slot offering -------------------------------------------------------
     def _offer_all_idle(self) -> None:
-        for tracker in self.trackers:
+        self._offer_map_slots()
+        self._offer_reduce_slots()
+
+    def _offer_map_slots(self, only: Optional[TaskTracker] = None) -> None:
+        """Fill free map slots, in machine-id order, on every tracker (or just
+        ``only``) that the scheduler wants offered — see
+        :meth:`TaskScheduler.offer_interest`; under speculation, on all."""
+        interest = None if self.config.speculative else self.scheduler.offer_interest()
+        if only is not None:
+            trackers = [only] if interest is None or only.machine_id in interest else []
+        else:
+            trackers = self.trackers if interest is None else [self.trackers[m] for m in interest]
+        for tracker in trackers:
             while tracker.has_free_slot:
                 if not self._offer_slot(tracker):
                     break
-        self._offer_reduce_slots()
 
     def _offer_reduce_slots(self) -> None:
         # cheap short-circuit: most runs are map-only, and this fires on
@@ -451,10 +463,7 @@ class HadoopSimulator:
             # a sibling already finished this task; nothing more to record
             self.jobtracker.drop_attempt(job, attempt)
 
-        # freed slot: offer immediately
-        while tracker.has_free_slot:
-            if not self._offer_slot(tracker):
-                break
+        self._offer_map_slots(tracker)  # freed slot: offer immediately
 
     def _kill(self, attempt: TaskAttempt, job: JobState, detail: str = "killed-speculative") -> None:
         """Kill a running attempt, billing its partial burn."""
@@ -589,9 +598,7 @@ class HadoopSimulator:
                     job.reduce_pending.append(task)
             elif task not in job.pending:
                 job.pending.append(task)
-        while tracker.has_free_slot:
-            if not self._offer_slot(tracker):
-                break
+        self._offer_map_slots(tracker)
 
     def _fail_machine(self, machine_id: int, chaos: bool = False) -> None:
         tracker = self.trackers[machine_id]
@@ -743,7 +750,7 @@ class HadoopSimulator:
         with lpprof.collect(self._on_lp_solve):
             self.events.run(max_events=self.config.max_events)
         if not self.jobtracker.all_complete():
-            incomplete = [j.job.name for j in self.jobtracker.queue if not j.is_complete]
+            incomplete = [j.job.name for j in self.jobtracker.queue]
             raise RuntimeError(
                 f"simulation drained with {len(incomplete)} incomplete jobs: "
                 f"{incomplete[:5]}"
@@ -789,9 +796,7 @@ class HadoopSimulator:
                 self._epoch_index += 1
                 start = self.now
                 queued = sum(
-                    len(j.pending) + len(j.reduce_pending)
-                    for j in self.jobtracker.queue
-                    if not j.is_complete
+                    len(j.pending) + len(j.reduce_pending) for j in self.jobtracker.queue
                 )
                 cost0 = self.metrics.total_cost
                 moved0 = self.metrics.moved_mb

@@ -8,7 +8,6 @@ the read and the CPU burn are charged to the cost ledger by the simulator.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
@@ -19,9 +18,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hadoop.events import EventHandle
 
 
-@dataclass
+@dataclass(eq=False)
 class SimTask:
     """A schedulable task: one block (map), an input-less slice, or a reduce.
+
+    Tasks compare and hash by identity (one object per task), so ``task in
+    job.pending`` is a C-level check, not a field-by-field ``__eq__``.
 
     ``candidate_stores`` lists stores currently holding the task's block;
     LiPS may rewrite it after moving data.  ``earliest_start`` delays tasks
@@ -93,8 +95,6 @@ class TaskAttempt:
 
 class TaskTracker:
     """Slot bookkeeping for one machine."""
-
-    _ids = itertools.count()
 
     def __init__(self, machine: Machine, tracer=None) -> None:
         self.machine = machine

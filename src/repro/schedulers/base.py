@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.hadoop.tasktracker import SimTask, TaskTracker
 from repro.obs.spans import PlanLinks
@@ -70,6 +70,18 @@ class TaskScheduler(abc.ABC):
         """A failed machine rejoined the cluster."""
 
     # -- the decision ------------------------------------------------------
+    def offer_interest(self) -> Optional[Sequence[int]]:
+        """Machine ids, ascending, whose free slots ``select_task`` could fill.
+
+        The simulator offers map slots only on these trackers, reading the
+        interest once per offer sweep; ``None`` (the default) means every
+        tracker, for schedulers that decide per offer.  Any tracker left out
+        must be one where ``select_task`` would return ``None`` without side
+        effects.  The interest is ignored when speculation is on, since a
+        speculative copy may go to any tracker.
+        """
+        return None
+
     @abc.abstractmethod
     def select_task(self, tracker: TaskTracker, now: float) -> Optional[Assignment]:
         """Pick a task for a free slot on ``tracker`` (or decline)."""
@@ -82,8 +94,6 @@ class TaskScheduler(abc.ABC):
         preference); cost-aware schedulers override this.
         """
         for job in self.sim.jobtracker.queue:
-            if job.is_complete or not job.reduce_pending:
-                continue
             for task in job.reduce_pending:
                 if task.earliest_start <= now:
                     return Assignment(job=job, task=task, source_store=None)

@@ -74,11 +74,7 @@ class CapacityScheduler(TaskScheduler):
         return queues
 
     def _running_share(self, queue: str) -> int:
-        return sum(
-            j.num_running
-            for j in self.sim.jobtracker.queue
-            if j.job.pool == queue and not j.is_complete
-        )
+        return sum(j.num_running for j in self.sim.jobtracker.queue if j.job.pool == queue)
 
     # -- decision ----------------------------------------------------------------
     def select_task(self, tracker: TaskTracker, now: float) -> Optional[Assignment]:

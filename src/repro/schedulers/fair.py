@@ -43,8 +43,7 @@ class FairScheduler(TaskScheduler):
     def _running_by_pool(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
         for job in self.sim.jobtracker.queue:
-            if not job.is_complete:
-                out[job.job.pool] = out.get(job.job.pool, 0) + job.num_running
+            out[job.job.pool] = out.get(job.job.pool, 0) + job.num_running
         return out
 
     def _pool_order(self) -> List[str]:

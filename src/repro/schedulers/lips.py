@@ -28,6 +28,7 @@ DataNode (a free intra-zone move) and reads node-locally.
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 from typing import Deque, Dict, List, Optional, Tuple
 
 
@@ -219,8 +220,6 @@ class LipsScheduler(TaskScheduler):
         """
         out: List[Tuple[JobState, Optional[int], List[SimTask]]] = []
         for job in self.sim.jobtracker.queue:
-            if job.is_complete:
-                continue
             unplanned = [t for t in job.pending if t.key not in self._planned_keys]
             if not unplanned:
                 continue
@@ -365,8 +364,6 @@ class LipsScheduler(TaskScheduler):
         """
         best = None
         for job in self.sim.jobtracker.queue:
-            if job.is_complete:
-                continue
             for task in job.reduce_pending:
                 if task.earliest_start > now:
                     continue
@@ -403,6 +400,11 @@ class LipsScheduler(TaskScheduler):
             entry.task.pinned_store = None
 
     # -- slot offers ------------------------------------------------------------
+    def offer_interest(self) -> List[int]:
+        """Machines with a non-empty plan, in machine-id order: only their
+        slots can take a LiPS task (paper Fig. 4 launches from plans only)."""
+        return list(compress(self.plans, self.plans.values()))  # non-empty deques
+
     def select_task(self, tracker: TaskTracker, now: float) -> Optional[Assignment]:
         plan = self.plans.get(tracker.machine_id)
         if not plan:

@@ -1,12 +1,16 @@
-"""Unit tests for the JobTracker: expansion, attempts, speculation."""
+"""Unit tests for the JobTracker: expansion, attempts, speculation, and the
+incomplete-only queue with identity-equal tasks."""
 
 import pytest
 
 from repro.cluster.builder import ClusterBuilder
 from repro.cluster.topology import Topology
+from repro.hadoop.failures import FailurePlan
 from repro.hadoop.hdfs import HDFS
 from repro.hadoop.jobtracker import JobTracker, expand_job
-from repro.hadoop.tasktracker import TaskTracker
+from repro.hadoop.sim import HadoopSimulator, SimConfig
+from repro.hadoop.tasktracker import SimTask, TaskTracker
+from repro.schedulers import FifoScheduler
 from repro.workload.job import DataObject, Job, Workload
 
 
@@ -155,3 +159,118 @@ def test_speculation_caps_copies(env):
     # t0 already has 2 copies; others finish soon but are the only eligible
     if cand is not None:
         assert cand[1].key != t0.key
+
+
+def run_to_completion(jt, state, tracker, tasks, now):
+    """Launch and finish ``tasks`` one by one at ``now``; checks the queue
+    invariant after every step."""
+    for task in list(tasks):
+        pending = state.reduce_pending if task.is_reduce else state.pending
+        pending.remove(task)
+        a = jt.new_attempt(state, task, tracker, None, now, 0.0, 1.0)
+        jt.finish_attempt(state, a, now=now)
+        assert jt.all_complete() == (not jt.queue)
+
+
+class TestIncompleteOnlyQueue:
+    def test_map_only_job_leaves_queue_on_last_map(self, env):
+        cluster, w, hdfs = env
+        jt = JobTracker(hdfs)
+        state = jt.submit(w.jobs[1], w, now=0.0)
+        tracker = TaskTracker(cluster.machines[0])
+        *first, last = state.pending
+        run_to_completion(jt, state, tracker, first, now=1.0)
+        assert jt.queue == [state] and not jt.all_complete()
+        run_to_completion(jt, state, tracker, [last], now=2.0)
+        assert jt.queue == [] and jt.all_complete()
+        assert not jt.has_pending_tasks()
+
+    def test_job_with_reduces_stays_until_last_reduce(self, env):
+        cluster, w, hdfs = env
+        job = Job(job_id=7, name="wc", tcp=0.0, num_tasks=2,
+                  cpu_seconds_noinput=20.0, num_reduces=2)
+        jt = JobTracker(hdfs)
+        state = jt.submit(job, w, now=0.0)
+        tracker = TaskTracker(cluster.machines[0])
+        run_to_completion(jt, state, tracker, state.pending, now=1.0)
+        assert state.maps_complete and jt.queue == [state]  # reduces not created
+        reduces = jt.create_reduces(state)
+        assert len(reduces) == 2
+        run_to_completion(jt, state, tracker, reduces[:1], now=2.0)
+        assert jt.queue == [state]
+        run_to_completion(jt, state, tracker, reduces[1:], now=3.0)
+        assert jt.queue == [] and state.finish_time == 3.0
+
+    def test_queue_keeps_submit_order(self, env):
+        cluster, w, hdfs = env
+        jt = JobTracker(hdfs)
+        scan = jt.submit(w.jobs[0], w, now=0.0)
+        pi = jt.submit(w.jobs[1], w, now=1.0)
+        late = jt.submit(Job(job_id=9, name="late", tcp=0.0), w, now=2.0)
+        tracker = TaskTracker(cluster.machines[0])
+        run_to_completion(jt, pi, tracker, pi.pending, now=3.0)
+        assert jt.queue == [scan, late]
+
+    def test_job_without_tasks_never_queues(self, env):
+        cluster, w, hdfs = env
+        empty = DataObject(data_id=1, name="empty", size_mb=0.0, origin_store=0)
+        w2 = Workload(jobs=w.jobs, data=w.data + [empty])
+        hdfs.populate([empty])
+        jt = JobTracker(hdfs)
+        state = jt.submit(Job(job_id=5, name="nothing", tcp=1.0, data_ids=[1]), w2, now=0.0)
+        assert state.tasks == [] and state.is_complete
+        assert jt.queue == [] and jt.all_complete()
+
+    def test_makespan_covers_finished_jobs(self, env):
+        cluster, w, hdfs = env
+        jt = JobTracker(hdfs)
+        scan = jt.submit(w.jobs[0], w, now=0.0)
+        pi = jt.submit(w.jobs[1], w, now=0.0)
+        tracker = TaskTracker(cluster.machines[0])
+        run_to_completion(jt, scan, tracker, scan.pending, now=40.0)
+        run_to_completion(jt, pi, tracker, pi.pending, now=25.0)
+        assert jt.queue == []
+        assert jt.makespan() == 40.0
+
+    def test_machine_failure_requeue_keeps_job_queued(self):
+        b = ClusterBuilder(topology=Topology.of(["z"]), store_capacity_mb=1e6)
+        for i in range(2):
+            b.add_machine(f"m{i}", ecu=2.0, cpu_cost=1e-5, zone="z", map_slots=2)
+        jobs = [Job(job_id=0, name="pi", tcp=0.0, num_tasks=4, cpu_seconds_noinput=800.0)]
+        failures = FailurePlan()
+        failures.add(0, 50.0)
+        seen = []
+
+        class Watch(FifoScheduler):
+            def on_machine_failed(self, machine_id, now):
+                state = self.sim.jobtracker.jobs[0]
+                seen.append((self.sim.jobtracker.queue == [state], len(state.pending)))
+
+        sim = HadoopSimulator(
+            b.build(), Workload(jobs=jobs, data=[]), Watch(),
+            SimConfig(speculative=False), failures=failures,
+        )
+        result = sim.run()
+        assert seen == [(True, 2)]  # both of m0's attempts re-queued
+        assert sim.jobtracker.queue == [] and sim.jobtracker.all_complete()
+        assert result.metrics.tasks_run == 4
+
+
+class TestTaskIdentity:
+    def test_field_identical_tasks_are_unequal(self):
+        a = SimTask(job_id=0, task_index=0, input_mb=64.0, cpu_seconds=1.0)
+        b = SimTask(job_id=0, task_index=0, input_mb=64.0, cpu_seconds=1.0)
+        assert a == a and a != b
+        assert a in [a] and a not in [b]
+        assert len({a, b}) == 2  # hashable, by identity
+
+    def test_take_pending_removes_the_launched_object(self, env):
+        cluster, w, hdfs = env
+        jt = JobTracker(hdfs)
+        state = jt.submit(w.jobs[1], w, now=0.0)
+        first = state.pending[0]
+        twin = SimTask(**{f: getattr(first, f) for f in first.__dataclass_fields__})
+        state.pending.insert(0, twin)
+        state.take_pending(first)
+        assert state.pending[0] is twin
+        assert all(t is not first for t in state.pending)
