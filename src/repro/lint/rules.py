@@ -1,6 +1,6 @@
 """Repo-specific AST lint rules for the scheduler/simulator code.
 
-Six rules, each encoding a bug class this codebase has actually hit or is
+Seven rules, each encoding a bug class this codebase has actually hit or is
 structurally exposed to:
 
 ==========  ==============================================================
@@ -25,6 +25,10 @@ structurally exposed to:
             ``multiprocessing`` without a seed-carrying parameter — worker
             results must be determined by explicit seeds, never by
             inherited global RNG state (which differs per worker)
+``AST007``  any reference to ``scipy.optimize.linprog`` — every HiGHS
+            solve goes through :class:`repro.lp.HighsBackend`, which calls
+            HiGHS directly; ``linprog`` re-adds a per-solve Python wrapper
+            that cost a third of the epoch-LP time
 ==========  ==============================================================
 
 Suppression: append ``# lint: ok=AST003`` (comma-separate several ids) to
@@ -259,6 +263,30 @@ class UnseededPoolRule(Rule):
             )
 
 
+class LinprogRule(Rule):
+    """AST007 — HiGHS solves must not go through ``scipy.optimize.linprog``."""
+
+    id = "AST007"
+    summary = "reference to scipy.optimize.linprog"
+
+    def check(self, tree: ast.Module) -> Iterator[RawFinding]:
+        """Flag imports, names and attributes spelled ``linprog``."""
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                hit = any("linprog" in alias.name.split(".") for alias in node.names)
+            else:
+                hit = (isinstance(node, ast.Name) and node.id == "linprog") or (
+                    isinstance(node, ast.Attribute) and node.attr == "linprog"
+                )
+            if hit:
+                yield (
+                    node.lineno,
+                    "scipy.optimize.linprog re-validates its inputs and builds "
+                    "column marginals on every solve; solve through "
+                    "repro.lp.HighsBackend, which calls HiGHS directly",
+                )
+
+
 #: The default rule set, in id order.
 ALL_RULES: Tuple[Rule, ...] = (
     SetIterationRule(),
@@ -267,4 +295,5 @@ ALL_RULES: Tuple[Rule, ...] = (
     MutableDefaultRule(),
     SolverObsRule(),
     UnseededPoolRule(),
+    LinprogRule(),
 )

@@ -3,8 +3,8 @@
 The paper solves its scheduling models with GLPK.  This package provides an
 equivalent, self-contained LP layer with two interchangeable backends:
 
-* :class:`~repro.lp.scipy_backend.HighsBackend` — wraps
-  :func:`scipy.optimize.linprog` (HiGHS); the default, fast path.
+* :class:`~repro.lp.scipy_backend.HighsBackend` — calls HiGHS directly
+  through the binding scipy ships; the default, fast path.
 * :class:`~repro.lp.simplex.SimplexBackend` — a from-scratch dense two-phase
   revised simplex implementation used as an independent reference for
   cross-validation in the test suite.

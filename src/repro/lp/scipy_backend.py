@@ -1,45 +1,114 @@
-"""HiGHS backend — solves assembled LPs via :func:`scipy.optimize.linprog`.
+"""HiGHS backend — solves assembled LPs through scipy's HiGHS binding.
 
 This is the production path (the paper used GLPK's simplex; HiGHS is its
 modern equivalent).  The from-scratch :mod:`repro.lp.simplex` backend exists
 to cross-check this one in tests.
+
+Each solve loads the model into a fresh ``_Highs`` instance of
+``scipy.optimize._highspy._core`` with the options
+``linprog(method="highs")`` passes, and keeps linprog's status table,
+message text and post-solve feasibility check, so the results are the ones
+``linprog`` returns without its per-solve Python overhead (DESIGN §13,
+"The HiGHS entry point").
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:
+    raise ImportError(
+        "repro.lp.scipy_backend needs scipy>=1.15, which ships the HiGHS "
+        "binding scipy.optimize._highspy._core"
+    ) from exc
 
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
 from repro.obs import lpprof
 
-# scipy linprog status codes → our normalised statuses
-_STATUS_MAP = {
-    0: LPStatus.OPTIMAL,
-    1: LPStatus.ITERATION_LIMIT,
-    2: LPStatus.INFEASIBLE,
-    3: LPStatus.UNBOUNDED,
-    4: LPStatus.NUMERICAL,  # "numerical difficulties encountered"
+_MS = _highs.HighsModelStatus
+
+#: HiGHS model status -> (our status, linprog's message prefix); a copy of
+#: scipy's ``_highs_to_scipy_status_message`` table
+_STATUS_TABLE = {
+    _MS.kNotset: (LPStatus.NUMERICAL, ""),
+    _MS.kLoadError: (LPStatus.NUMERICAL, ""),
+    _MS.kModelError: (LPStatus.INFEASIBLE, ""),
+    _MS.kPresolveError: (LPStatus.NUMERICAL, ""),
+    _MS.kSolveError: (LPStatus.NUMERICAL, ""),
+    _MS.kPostsolveError: (LPStatus.NUMERICAL, ""),
+    _MS.kModelEmpty: (LPStatus.NUMERICAL, ""),
+    _MS.kObjectiveBound: (LPStatus.NUMERICAL, ""),
+    _MS.kObjectiveTarget: (LPStatus.NUMERICAL, ""),
+    _MS.kOptimal: (LPStatus.OPTIMAL, "Optimization terminated successfully. "),
+    _MS.kTimeLimit: (LPStatus.ITERATION_LIMIT, "Time limit reached. "),
+    _MS.kIterationLimit: (LPStatus.ITERATION_LIMIT, "Iteration limit reached. "),
+    _MS.kInfeasible: (LPStatus.INFEASIBLE, "The problem is infeasible. "),
+    _MS.kUnbounded: (LPStatus.UNBOUNDED, "The problem is unbounded. "),
+    _MS.kUnboundedOrInfeasible: (
+        LPStatus.NUMERICAL,
+        "The problem is unbounded or infeasible. ",
+    ),
 }
+_UNRECOGNISED = (LPStatus.NUMERICAL, "The HiGHS status code was not recognized. ")
+
+#: the options ``linprog(method="highs")`` sets; every other one stays at
+#: its HiGHS default
+_OPTIONS = (
+    ("output_flag", False),
+    ("log_to_console", False),
+    ("presolve", "on"),
+    ("simplex_strategy", int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+    ("highs_debug_level", int(_highs.HighsDebugLevel.kHighsDebugLevelNone)),
+)
+
+#: linprog's post-solve feasibility tolerance: ``sqrt(tol) * 10``, tol=1e-9
+FEASIBILITY_TOL = math.sqrt(1e-9) * 10
+_INFEASIBLE_MESSAGE = (
+    "The solution does not satisfy the constraints within the "
+    f"required tolerance of {FEASIBILITY_TOL:.2E}, yet "
+    "no errors were raised and there is no certificate of "
+    "infeasibility or unboundedness. Check whether "
+    "the slack and constraint residuals are acceptable; "
+    "if not, consider enabling presolve, adjusting the "
+    "tolerance option(s), and/or using a different method. "
+    "Please consider submitting a bug report."
+)
+
+
+def _status_message(model_status, highs_text: str):
+    """linprog's (status, message) pair for a HiGHS model status."""
+    status, prefix = _STATUS_TABLE.get(model_status, _UNRECOGNISED)
+    return status, f"{prefix}(HiGHS Status {int(model_status)}: {highs_text})"
+
+
+def is_feasible(x, lower, upper, slack, residual) -> bool:
+    """linprog's check that an "optimal" point satisfies the model.
+
+    ``slack`` is ``b_ub - A_ub x`` and ``residual`` is ``b_eq - A_eq x``;
+    NaNs anywhere, a bound violated by more than :data:`FEASIBILITY_TOL`, a
+    negative slack or a nonzero residual beyond it make the point infeasible.
+    """
+    if np.isnan(x).any() or np.isnan(slack).any() or np.isnan(residual).any():
+        return False
+    tol = FEASIBILITY_TOL
+    return bool(
+        np.all((x >= lower - tol) & (x <= upper + tol))
+        and not (slack < -tol).any()
+        and not (np.abs(residual) > tol).any()
+    )
 
 
 class HighsBackend:
-    """Solve LPs with scipy's HiGHS wrappers.
-
-    Parameters
-    ----------
-    method:
-        A ``linprog`` method name. ``"highs"`` lets HiGHS pick between its
-        dual simplex and interior-point solvers.
-    """
+    """Solve LPs with HiGHS' dual simplex, presolve on, one instance per solve."""
 
     name = "highs"
-
-    def __init__(self, method: str = "highs") -> None:
-        self.method = method
 
     def solve(self, lp: LinearProgram) -> LPResult:
         """Assemble and solve a LinearProgram, mapping names."""
@@ -72,8 +141,20 @@ class HighsBackend:
         )
         return result
 
+    def _failure(self, model_status, highs_text: str, iterations: int = 0) -> LPResult:
+        status, message = _status_message(model_status, highs_text)
+        return LPResult(
+            status=status,
+            objective=float("nan"),
+            x=None,
+            iterations=iterations,
+            backend=self.name,
+            message=message,
+        )
+
     def _solve_raw(self, asm) -> LPResult:
-        if asm.num_variables == 0:
+        n = asm.num_variables
+        if n == 0:
             # Degenerate empty model: feasible iff there are no constraints
             # with nonzero rhs requirements.
             feasible = bool(np.all(asm.b_ub >= 0)) and bool(np.all(asm.b_eq == 0))
@@ -86,39 +167,78 @@ class HighsBackend:
                 backend=self.name,
             )
 
-        res = linprog(
-            c=asm.c,
-            A_ub=asm.a_ub if asm.a_ub.shape[0] else None,
-            b_ub=asm.b_ub if asm.b_ub.shape[0] else None,
-            A_eq=asm.a_eq if asm.a_eq.shape[0] else None,
-            b_eq=asm.b_eq if asm.b_eq.shape[0] else None,
-            bounds=asm.bounds,
-            method=self.method,
+        # empty blocks may carry a stale column count, so only stack the rest
+        blocks = [a for a in (asm.a_ub, asm.a_eq) if a.shape[0]]
+        a = (sparse.vstack(blocks, format="csr") if blocks else sparse.csr_matrix((0, n))).tocsc()
+        m_ub = asm.a_ub.shape[0]
+        b_ub = np.asarray(asm.b_ub, dtype=np.float64)
+        b_eq = np.asarray(asm.b_eq, dtype=np.float64)
+        row_upper = np.concatenate((b_ub, b_eq))
+        lower = np.ascontiguousarray(asm.bounds[:, 0], dtype=np.float64)
+        upper = np.ascontiguousarray(asm.bounds[:, 1], dtype=np.float64)
+
+        highs = _highs._Highs()
+        for option, value in _OPTIONS:
+            highs.setOptionValue(option, value)
+        loaded = highs.passModel(
+            n,
+            a.shape[0],
+            a.nnz,
+            int(_highs.MatrixFormat.kColwise),
+            int(_highs.ObjSense.kMinimize),
+            0.0,
+            np.asarray(asm.c, dtype=np.float64),
+            lower,
+            upper,
+            np.concatenate((np.full(m_ub, -np.inf), b_eq)),
+            row_upper,
+            a.indptr.astype(np.int32, copy=False),
+            a.indices.astype(np.int32, copy=False),
+            a.data.astype(np.float64, copy=False),
+            np.zeros(n, dtype=np.int32),
         )
-        status = _STATUS_MAP.get(res.status, LPStatus.ERROR)
-        x = np.asarray(res.x) if res.x is not None else None
-        objective = (
-            float(res.fun) + asm.objective_constant
-            if status is LPStatus.OPTIMAL
-            else float("nan")
-        )
-        dual_ub = None
-        dual_eq = None
-        if status is LPStatus.OPTIMAL:
-            ineq = getattr(res, "ineqlin", None)
-            if ineq is not None and getattr(ineq, "marginals", None) is not None:
-                dual_ub = np.asarray(ineq.marginals)
-            eq = getattr(res, "eqlin", None)
-            if eq is not None and getattr(eq, "marginals", None) is not None:
-                dual_eq = np.asarray(eq.marginals)
+        if loaded == _highs.HighsStatus.kError:
+            return self._failure(_MS.kModelError, highs.modelStatusToString(_MS.kModelError))
+        if highs.run() == _highs.HighsStatus.kError:
+            model_status = highs.getModelStatus()
+            return self._failure(model_status, highs.modelStatusToString(model_status))
+
+        model_status = highs.getModelStatus()
+        info = highs.getInfo()
+        iterations = info.simplex_iteration_count or info.ipm_iteration_count
+        if model_status != _MS.kOptimal:
+            return self._failure(
+                model_status,
+                f"model_status is {highs.modelStatusToString(model_status)}; "
+                "primal_status is "
+                f"{highs.solutionStatusToString(info.primal_solution_status)}",
+                iterations,
+            )
+
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        row_value = np.array(solution.row_value)
+        slack = row_upper - row_value
+        status, message = _status_message(model_status, highs.modelStatusToString(model_status))
+        fun = info.objective_function_value
+        if math.isnan(fun) or not is_feasible(x, lower, upper, slack[:m_ub], slack[m_ub:]):
+            return LPResult(
+                status=LPStatus.NUMERICAL,
+                objective=float("nan"),
+                x=x,
+                iterations=iterations,
+                backend=self.name,
+                message=_INFEASIBLE_MESSAGE,
+            )
+        row_dual = np.array(solution.row_dual)
         return LPResult(
             status=status,
-            objective=objective,
+            objective=float(fun) + asm.objective_constant,
             x=x,
             by_name={},
-            iterations=int(getattr(res, "nit", 0) or 0),
+            iterations=iterations,
             backend=self.name,
-            message=str(res.message),
-            dual_ub=dual_ub,
-            dual_eq=dual_eq,
+            message=message,
+            dual_ub=row_dual[:m_ub],
+            dual_eq=row_dual[m_ub:],
         )

@@ -21,6 +21,7 @@ RULE_FIXTURES = [
     ("AST004", "ast004"),
     ("AST005", "ast005"),
     ("AST006", "ast006"),
+    ("AST007", "ast007"),
 ]
 
 
@@ -57,6 +58,16 @@ def test_ast006_flags_both_pool_styles():
     assert len(findings) == 2
     assert any("sweep_unseeded" in f.message for f in findings)
     assert any("spawn_unseeded" in f.message for f in findings)
+
+
+def test_ast007_flags_import_call_and_qualified_attribute():
+    findings = lint_paths([FIXTURES / "ast007_bad.py"])
+    assert sorted(f.line for f in findings) == [4, 8, 12]
+
+
+def test_ast007_ignores_the_word_in_strings_and_comments():
+    source = '"""Was linprog."""\n# linprog\nmessage = "linprog"\n'
+    assert [f.rule for f in lint_source(source)] == []
 
 
 def test_suppression_comment_silences_one_rule():
