@@ -126,10 +126,10 @@ def _run_fairness(full: bool, csv_dir=None) -> None:
     exp_fairness.main()
 
 
-def _run_check(full: bool, csv_dir=None) -> None:
+def _run_check(full: bool, csv_dir=None) -> int:
     from repro.experiments import check
 
-    check.main()
+    return check.main()
 
 
 def _run_interference(full: bool, csv_dir=None) -> None:
@@ -150,7 +150,9 @@ def _run_frontier(full: bool, csv_dir=None) -> None:
     exp_deadline.main()
 
 
-COMMANDS: Dict[str, Callable[[bool], None]] = {
+#: experiment runners; a nonzero return (a failed ``check`` claim) becomes
+#: the process exit code
+COMMANDS: Dict[str, Callable[..., Optional[int]]] = {
     "tables": _run_tables,
     "fig1": _run_fig1,
     "fig5": _run_fig5,
@@ -1050,16 +1052,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 stack.enter_context(use_tracer(tap_tracer))
                 plane.attach_tracer(tap_tracer)
         seen = set()
+        code = 0
         for name in wanted:
             if name in seen:
                 continue
             seen.add(name)
-            COMMANDS[name](args.full, args.csv)
+            code = COMMANDS[name](args.full, args.csv) or code
             print()
         if registry is not None:
             registry.write_json(args.metrics)
             print(f"wrote {args.metrics}")
-    return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution path

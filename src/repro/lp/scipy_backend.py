@@ -5,17 +5,22 @@ modern equivalent).  The from-scratch :mod:`repro.lp.simplex` backend exists
 to cross-check this one in tests.
 
 Each solve loads the model into a fresh ``_Highs`` instance of
-``scipy.optimize._highspy._core`` with the options
-``linprog(method="highs")`` passes, and keeps linprog's status table,
-message text and post-solve feasibility check, so the results are the ones
-``linprog`` returns without its per-solve Python overhead (DESIGN §13,
-"The HiGHS entry point").
+``scipy.optimize._highspy._core`` and picks the solver by model size
+(:data:`IPM_MIN_COLUMNS`): dual simplex with presolve off below it, the
+interior-point solver with presolve and crossover at or above it.  The
+options are the ones ``linprog`` passes for ``method="highs"`` with
+``presolve=False`` and for ``method="highs-ipm"`` respectively, and the
+backend keeps linprog's status table, message text and post-solve
+feasibility check, so each result is the one ``linprog`` returns for that
+method without its per-solve Python overhead (DESIGN §13.2, "The HiGHS
+entry point").
 """
 
 from __future__ import annotations
 
 import math
 import time
+from typing import Tuple
 
 import numpy as np
 from scipy import sparse
@@ -58,15 +63,30 @@ _STATUS_TABLE = {
 }
 _UNRECOGNISED = (LPStatus.NUMERICAL, "The HiGHS status code was not recognized. ")
 
-#: the options ``linprog(method="highs")`` sets; every other one stays at
+#: Crossover: models with at least this many columns go to the
+#: interior-point solver, smaller ones to dual simplex.  Pinned on captured
+#: block-scenario epoch models (DESIGN §13.2): simplex wins at 24k columns
+#: (0.33 vs 0.60 s), IPM on every model from 25k (0.38 vs 0.56 s) to 64k
+#: (0.88 vs 2.96 s).
+IPM_MIN_COLUMNS = 25_000
+
+#: options both solver paths set, as linprog does; every other option keeps
 #: its HiGHS default
-_OPTIONS = (
+_COMMON_OPTIONS = (
     ("output_flag", False),
     ("log_to_console", False),
-    ("presolve", "on"),
     ("simplex_strategy", int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
     ("highs_debug_level", int(_highs.HighsDebugLevel.kHighsDebugLevelNone)),
 )
+#: below the crossover: ``linprog(method="highs", options={"presolve": False})``
+_SIMPLEX_OPTIONS = _COMMON_OPTIONS + (("presolve", "off"),)
+#: at or above it: ``linprog(method="highs-ipm")``; crossover turns the
+#: interior point into a vertex with row duals and a valid basis
+_IPM_OPTIONS = _COMMON_OPTIONS + (("presolve", "on"), ("solver", "ipm"), ("run_crossover", "on"))
+
+#: the presolve fields of an :class:`~repro.obs.lpprof.LPSolveRecord` for a
+#: solve that ran no presolve
+_NO_PRESOLVE = {"presolve_applied": False, "presolve_fixed_vars": 0, "presolve_dropped_rows": 0}
 
 #: linprog's post-solve feasibility tolerance: ``sqrt(tol) * 10``, tol=1e-9
 FEASIBILITY_TOL = math.sqrt(1e-9) * 10
@@ -106,7 +126,12 @@ def is_feasible(x, lower, upper, slack, residual) -> bool:
 
 
 class HighsBackend:
-    """Solve LPs with HiGHS' dual simplex, presolve on, one instance per solve."""
+    """Solve LPs with HiGHS, one instance per solve, the solver picked by size.
+
+    Below :data:`IPM_MIN_COLUMNS` columns: dual simplex, presolve off.  At
+    or above it: IPM with presolve and crossover.  Either way the result
+    carries a vertex ``x`` and the row duals.
+    """
 
     name = "highs"
 
@@ -125,9 +150,9 @@ class HighsBackend:
         status are recorded; otherwise profiling costs nothing.
         """
         if not lpprof.active():
-            return self._solve_raw(asm)
+            return self._solve_raw(asm)[0]
         t0 = time.perf_counter()
-        result = self._solve_raw(asm)
+        result, presolved = self._solve_raw(asm)
         lpprof.observe(
             lpprof.LPSolveRecord(
                 name=getattr(asm, "name", "lp"),
@@ -136,6 +161,7 @@ class HighsBackend:
                 iterations=result.iterations,
                 status=result.status.value,
                 meta=lpprof.current_scope(),
+                **presolved,
                 **lpprof.describe_assembled(asm),
             )
         )
@@ -152,20 +178,22 @@ class HighsBackend:
             message=message,
         )
 
-    def _solve_raw(self, asm) -> LPResult:
+    def _solve_raw(self, asm) -> Tuple[LPResult, dict]:
+        """The result, plus the presolve fields of its solve record."""
         n = asm.num_variables
         if n == 0:
             # Degenerate empty model: feasible iff there are no constraints
             # with nonzero rhs requirements.
             feasible = bool(np.all(asm.b_ub >= 0)) and bool(np.all(asm.b_eq == 0))
             status = LPStatus.OPTIMAL if feasible else LPStatus.INFEASIBLE
-            return LPResult(
+            result = LPResult(
                 status=status,
                 objective=asm.objective_constant if feasible else float("nan"),
                 x=np.zeros(0),
                 by_name={},
                 backend=self.name,
             )
+            return result, _NO_PRESOLVE
 
         # empty blocks may carry a stale column count, so only stack the rest
         blocks = [a for a in (asm.a_ub, asm.a_eq) if a.shape[0]]
@@ -177,8 +205,9 @@ class HighsBackend:
         lower = np.ascontiguousarray(asm.bounds[:, 0], dtype=np.float64)
         upper = np.ascontiguousarray(asm.bounds[:, 1], dtype=np.float64)
 
+        ipm = n >= IPM_MIN_COLUMNS
         highs = _highs._Highs()
-        for option, value in _OPTIONS:
+        for option, value in _IPM_OPTIONS if ipm else _SIMPLEX_OPTIONS:
             highs.setOptionValue(option, value)
         loaded = highs.passModel(
             n,
@@ -198,7 +227,23 @@ class HighsBackend:
             np.zeros(n, dtype=np.int32),
         )
         if loaded == _highs.HighsStatus.kError:
-            return self._failure(_MS.kModelError, highs.modelStatusToString(_MS.kModelError))
+            failure = self._failure(_MS.kModelError, highs.modelStatusToString(_MS.kModelError))
+            return failure, _NO_PRESOLVE
+        presolved = _NO_PRESOLVE
+        if ipm:
+            # run() presolves again and then drops the reduced model, so its
+            # shape is only readable after a separate presolve() call
+            highs.presolve()
+            reduced = highs.getPresolvedLp()
+            presolved = {
+                "presolve_applied": True,
+                "presolve_fixed_vars": n - reduced.num_col_,
+                "presolve_dropped_rows": a.shape[0] - reduced.num_row_,
+            }
+        return self._run(highs, asm, lower, upper, row_upper), presolved
+
+    def _run(self, highs, asm, lower, upper, row_upper) -> LPResult:
+        """Run a loaded model; linprog's status, message and readback."""
         if highs.run() == _highs.HighsStatus.kError:
             model_status = highs.getModelStatus()
             return self._failure(model_status, highs.modelStatusToString(model_status))
@@ -215,6 +260,7 @@ class HighsBackend:
                 iterations,
             )
 
+        m_ub = asm.a_ub.shape[0]
         solution = highs.getSolution()
         x = np.array(solution.col_value)
         row_value = np.array(solution.row_value)

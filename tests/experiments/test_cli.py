@@ -48,6 +48,37 @@ def test_all_expands_to_every_command():
     }
 
 
+class TestCheckExitCode:
+    """``repro check`` exits 1 when a paper claim fails, 0 when all hold."""
+
+    @pytest.fixture
+    def claims(self, monkeypatch):
+        from repro.experiments import check
+
+        def use(*passed):
+            monkeypatch.setattr(check, "CHECKS", [
+                (lambda ok=ok, i=i: check.CheckResult(f"claim {i}", ok, "stub"))
+                for i, ok in enumerate(passed)
+            ])
+
+        return use
+
+    def test_failed_claim_fails_the_process(self, claims, capsys):
+        claims(True, False)
+        assert main(["check"]) == 1
+        assert "1/2 claims hold" in capsys.readouterr().out
+
+    def test_failure_survives_later_commands(self, claims, capsys):
+        claims(False)
+        assert main(["check", "fig1"]) == 1
+        assert "Figure 1" in capsys.readouterr().out
+
+    def test_all_claims_hold(self, claims, capsys):
+        claims(True, True)
+        assert main(["check"]) == 0
+        assert "2/2 claims hold" in capsys.readouterr().out
+
+
 def test_frontier_command(capsys):
     assert main(["frontier"]) == 0
     out = capsys.readouterr().out

@@ -1,11 +1,14 @@
-"""The direct HiGHS path returns exactly what ``linprog(method="highs")`` did.
+"""The direct HiGHS path returns exactly what ``linprog`` does for its size.
 
 ``HighsBackend`` loads each model into scipy's HiGHS binding itself instead
-of going through :func:`scipy.optimize.linprog`.  Here ``linprog`` is the
-oracle: over hypothesis LPs, the epoch models of a tiny LiPS simulation and
-a tiny scheduling-service run, and the failure cases, both must give
-bit-identical primal values, objective, duals, status, iteration count and
-message.
+of going through :func:`scipy.optimize.linprog`, and picks the solver by
+column count.  Here ``linprog`` is the oracle:
+``method="highs"`` with presolve off below
+:data:`~repro.lp.scipy_backend.IPM_MIN_COLUMNS`, ``method="highs-ipm"`` at or
+above it.  Over hypothesis LPs, the epoch models of a tiny LiPS simulation
+and a tiny scheduling-service run, one model on each side of the crossover
+and the failure cases, both must give bit-identical primal values,
+objective, duals, status, iteration count and message.
 """
 
 import importlib.util
@@ -25,6 +28,8 @@ from repro.lp import scipy_backend
 from repro.lp.problem import AssembledLP, LinearProgram, Sense
 from repro.lp.result import LPStatus
 from repro.lp.scipy_backend import HighsBackend
+from repro.lp.validation import certify_optimal
+from repro.obs import lpprof
 from repro.resilience.soak import build_soak_cluster, build_soak_workload
 from repro.schedulers import LipsScheduler
 from repro.serve.service import SchedulingService
@@ -43,7 +48,11 @@ SCIPY_STATUS = {
 
 
 def oracle(asm):
-    """The fields a linprog-backed ``HighsBackend`` returned for ``asm``."""
+    """The fields ``linprog`` returns for ``asm`` with the backend's method."""
+    if asm.num_variables >= scipy_backend.IPM_MIN_COLUMNS:
+        method = {"method": "highs-ipm"}
+    else:
+        method = {"method": "highs", "options": {"presolve": False}}
     res = linprog(
         c=asm.c,
         A_ub=asm.a_ub if asm.a_ub.shape[0] else None,
@@ -51,7 +60,7 @@ def oracle(asm):
         A_eq=asm.a_eq if asm.a_eq.shape[0] else None,
         b_eq=asm.b_eq if asm.b_eq.shape[0] else None,
         bounds=asm.bounds,
-        method="highs",
+        **method,
     )
     status = SCIPY_STATUS[res.status]
     optimal = status is LPStatus.OPTIMAL
@@ -269,3 +278,54 @@ def test_missing_binding_names_the_scipy_floor(monkeypatch):
     spec = importlib.util.spec_from_file_location("backend_probe", scipy_backend.__file__)
     with pytest.raises(ImportError, match=r"scipy>=1\.15"):
         spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+
+def assignment_lp(jobs, machines, seed=0):
+    """Fractional assignment of ``jobs`` unit jobs to capacitated machines.
+
+    One column per (job, machine) pair, cost ``c`` and bounds [0, 1]: each
+    job is fully assigned (``A_eq``) and each machine holds at most its
+    share of the total work (``A_ub``), the shape of the epoch LP's
+    relaxation.  Machine 0 is retired: its columns are fixed at 0, which
+    presolve removes.
+    """
+    rng = np.random.default_rng(seed)
+    n = jobs * machines
+    cols = np.arange(n)
+    job_of, machine_of = np.divmod(cols, machines)
+    work = rng.uniform(1.0, 4.0, size=n)
+    bounds = np.tile([0.0, 1.0], (n, 1))
+    bounds[machine_of == 0, 1] = 0.0
+    return AssembledLP(
+        c=rng.uniform(0.5, 2.0, size=n) * work,
+        a_ub=sparse.csr_matrix((work, (machine_of, cols)), shape=(machines, n)),
+        b_ub=np.full(machines, 3.0 * jobs / machines),
+        a_eq=sparse.csr_matrix((np.ones(n), (job_of, cols)), shape=(jobs, n)),
+        b_eq=np.ones(jobs),
+        bounds=bounds,
+    )
+
+
+@pytest.mark.parametrize("ipm", [False, True], ids=["simplex", "ipm"])
+def test_size_rule_picks_the_path_and_certifies(ipm):
+    """One model on each side of the crossover: the path, linprog's bits for
+    that path, and an optimality certificate including the row duals."""
+    machines = 100
+    jobs = scipy_backend.IPM_MIN_COLUMNS // machines - (not ipm)
+    asm = assignment_lp(jobs, machines)
+    assert (asm.num_variables >= scipy_backend.IPM_MIN_COLUMNS) is ipm
+    with lpprof.profile() as prof:
+        got = assert_identical(asm)
+    (record,) = prof.records
+    assert got.is_optimal
+    assert record.presolve_applied is ipm
+    if ipm:
+        assert record.presolve_fixed_vars >= jobs  # the retired machine's columns
+        assert 0 <= record.presolve_dropped_rows <= jobs + machines
+    else:
+        assert record.presolve_fixed_vars == record.presolve_dropped_rows == 0
+    cert = certify_optimal(asm, got)
+    assert cert, cert.violations
+    # every job row is a binding equality, so its dual is live after crossover
+    assert np.all(got.dual_eq > 0)
